@@ -69,32 +69,18 @@ def align_pose(pose, reference):
     return (pts / n * c) @ rot
 
 
-def _pair_distances(pairs, poses_a, poses_b):
-    out = []
-    for i, j in pairs:
-        try:
-            out.append(procrustes_distance(poses_a[i], poses_b[j]))
-        except AlignmentError:
-            continue
-    return out
-
-
-def _sample_pairs(n_a, n_b, max_pairs, seed, within=False):
-    """All cross pairs (or unordered within-pairs) if few enough, else a
-    deterministic uniform sample of max_pairs."""
-    total = n_a * (n_a - 1) // 2 if within else n_a * n_b
-    if total <= max_pairs:
-        if within:
-            return [(i, j) for i in range(n_a) for j in range(i + 1, n_a)]
-        return [(i, j) for i in range(n_a) for j in range(n_b)]
+def _sample_pairs(n, max_pairs, seed):
+    """All unordered pairs of n items if few enough, else a deterministic
+    uniform sample of max_pairs ordered pairs of distinct items."""
+    if n * (n - 1) // 2 <= max_pairs:
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < max_pairs:
-        i = int(rng.integers(n_a))
-        j = int(rng.integers(n_b if not within else n_a))
-        if within and i == j:
-            continue
-        pairs.append((i, j))
+        i = int(rng.integers(n))
+        j = int(rng.integers(n))
+        if i != j:
+            pairs.append((i, j))
     return pairs
 
 
@@ -104,36 +90,15 @@ def pose_variability(poses, max_pairs=DEFAULT_MAX_PAIRS, seed=0):
     poses = [np.asarray(p) for p in poses if _confident(p).sum() >= 2]
     if len(poses) < 2:
         return None
-    pairs = _sample_pairs(len(poses), len(poses), max_pairs, seed, within=True)
-    dists = _pair_distances(pairs, poses, poses)
+    dists = []
+    for i, j in _sample_pairs(len(poses), max_pairs, seed):
+        try:
+            dists.append(procrustes_distance(poses[i], poses[j]))
+        except AlignmentError:
+            continue
     if not dists:
         return None
     return float(np.mean(dists))
-
-
-def cross_category_pose_similarity(poses_by_category, max_pairs=DEFAULT_MAX_PAIRS,
-                                   seed=0):
-    """Symmetric matrix of mean Procrustes distance between pose pairs drawn
-    one from each category; the diagonal is each category's variability.
-    Returns (category ids, matrix with nan where undefined)."""
-    cats = sorted(poses_by_category)
-    k = len(cats)
-    mat = np.full((k, k), np.nan)
-    for i in range(k):
-        v = pose_variability(poses_by_category[cats[i]], max_pairs, seed)
-        mat[i, i] = np.nan if v is None else v
-        for j in range(i + 1, k):
-            pa = [np.asarray(p) for p in poses_by_category[cats[i]]
-                  if _confident(p).sum() >= 2]
-            pb = [np.asarray(p) for p in poses_by_category[cats[j]]
-                  if _confident(p).sum() >= 2]
-            if not pa or not pb:
-                continue
-            pairs = _sample_pairs(len(pa), len(pb), max_pairs, seed)
-            dists = _pair_distances(pairs, pa, pb)
-            if dists:
-                mat[i, j] = mat[j, i] = float(np.mean(dists))
-    return cats, mat
 
 
 @dataclass

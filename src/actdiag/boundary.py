@@ -11,7 +11,7 @@ import numpy as np
 
 from .metrics import (EvalResult, NormalizationConstants, interval_iou,
                       labels_matrix, normalized_ap, build_localization_items,
-                      sample_times, _per_class_eval)
+                      per_class_eval, sample_grid)
 from .stats import pearson
 
 
@@ -187,37 +187,39 @@ def agreement_csv(records):
     return "\n".join(lines) + "\n"
 
 
-def boundary_keep_mask(items, vocab):
+def boundary_keep_mask(grid, vocab):
     """(N, C) bool: item i may be evaluated for class c, i.e. its time is
     not inside a boundary region of any instance of c in its video."""
-    keep = np.ones_like(items.labels, dtype=bool)
-    for v, ann in enumerate(items.annotations):
-        rows = np.flatnonzero(items.video_index == v)
-        if len(rows) == 0:
-            continue
-        t = items.times[rows]
+    n_videos = len(grid.annotations)
+    keep = np.ones_like(grid.labels, dtype=bool)
+    per_video = keep.reshape(n_videos, -1, keep.shape[1])
+    times = grid.times.reshape(n_videos, -1)
+    for v, ann in enumerate(grid.annotations):
+        t = times[v]
         for inst in ann.instances:
-            c = vocab.index[inst.category]
-            region = boundary_region(inst, ann.duration)
-            inside = np.zeros(len(rows), dtype=bool)
-            for s, e in region.intervals:
+            inside = np.zeros(len(t), dtype=bool)
+            for s, e in boundary_region(inst, ann.duration).intervals:
                 inside |= (t >= s) & (t <= e)
-            keep[rows[inside], c] = False
+            per_video[v, inside, vocab.index[inst.category]] = False
     return keep
 
 
 def boundary_excluded_eval(preds, annotations, vocab, samples_per_video=25):
     """localization_map with per-class removal of items that fall inside a
     same-class boundary region."""
-    items = build_localization_items(preds, annotations, vocab, samples_per_video)
-    keep = boundary_keep_mask(items, vocab)
-    n_classes = len(vocab)
-    n_pos = np.array([(items.labels[:, c] & keep[:, c]).sum() for c in range(n_classes)])
-    n_neg = np.array([(~items.labels[:, c] & keep[:, c]).sum() for c in range(n_classes)])
+    grid = sample_grid(annotations, vocab, samples_per_video)
+    return excluded_eval(build_localization_items(preds, grid),
+                         boundary_keep_mask(grid, vocab))
+
+
+def excluded_eval(items, keep):
+    """Per-class AP over the items that `keep` (N, C) admits per class."""
+    n_pos = (items.labels & keep).sum(axis=0)
+    n_neg = (~items.labels & keep).sum(axis=0)
     if n_pos.mean() <= 0:
         raise ValueError("no positive items after boundary exclusion")
     consts = NormalizationConstants(float(n_pos.mean()), float(n_neg.mean()))
-    per_class = np.full(n_classes, np.nan)
+    per_class = np.full(keep.shape[1], np.nan)
     mask = n_pos > 0
     for c in np.flatnonzero(mask):
         sel = keep[:, c]
@@ -229,12 +231,11 @@ def boundary_excluded_eval(preds, annotations, vocab, samples_per_video=25):
 def perfect_classifier_localization(annotations, vocab, samples_per_video=25):
     """Localization score of an oracle that emits each video's binary
     class-presence vector at every frame."""
-    vid_labels = labels_matrix(annotations, vocab)
-    scores, labels = [], []
-    from .metrics import frame_labels
-    for v, ann in enumerate(annotations):
-        times = sample_times(ann.duration, samples_per_video)
-        scores.append(np.repeat(vid_labels[v][None, :].astype(float),
-                                len(times), axis=0))
-        labels.append(frame_labels(ann, vocab, times))
-    return _per_class_eval(np.vstack(scores), np.vstack(labels))
+    return perfect_classifier_eval(sample_grid(annotations, vocab, samples_per_video),
+                                   labels_matrix(annotations, vocab))
+
+
+def perfect_classifier_eval(grid, video_labels):
+    """perfect_classifier_localization on a sample grid, given the (V, C)
+    video labels of its annotations."""
+    return per_class_eval(video_labels[grid.video_index].astype(float), grid.labels)

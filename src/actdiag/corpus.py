@@ -186,10 +186,19 @@ def _parse_float(s, what, ln):
     return v
 
 
+def _check_new_video(seen, video_id, ln):
+    """Record video_id's line in seen; a repeated id names both lines."""
+    if video_id in seen:
+        raise CorpusError(f"duplicate video_id {video_id!r} (first seen line "
+                          f"{seen[video_id]})", ln)
+    seen[video_id] = ln
+
+
 def load_annotations(text, vocab):
     """Parse annotations.csv into a list of VideoAnnotation."""
     reader = csv.reader(_open(text))
     out = []
+    seen = {}
     for ln, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -198,6 +207,7 @@ def load_annotations(text, vocab):
         if len(row) < 2:
             raise CorpusError(f"expected video_id,duration,actions, got {row!r}", ln)
         video_id = row[0].strip()
+        _check_new_video(seen, video_id, ln)
         duration = _parse_float(row[1], "duration", ln)
         if duration <= 0:
             raise CorpusError(f"non-positive duration {duration}", ln)
@@ -239,6 +249,7 @@ def load_predictions(text, vocab, mode):
     fps = None
     if mode == "video":
         out = []
+        seen = {}
         for ln, line in enumerate(_open(text), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -246,6 +257,7 @@ def load_predictions(text, vocab, mode):
             bits = line.split()
             if len(bits) != 1 + c:
                 raise CorpusError(f"expected {c} scores, got {len(bits) - 1}", ln)
+            _check_new_video(seen, bits[0], ln)
             scores = np.array([_parse_float(b, "score", ln) for b in bits[1:]])
             out.append(VideoPredictions(bits[0], scores))
         return out
@@ -277,6 +289,20 @@ def load_predictions(text, vocab, mode):
             for vid, (times, rows) in groups.items()]
 
 
+def _aux_number(v, what, ln):
+    """A finite JSON number as float; anything else is a CorpusError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise CorpusError(f"{what} must be a finite number, got {v!r}", ln)
+    return float(v)
+
+
+def _aux_numbers(v, size, what, ln):
+    """A JSON list of `size` finite numbers as a tuple of floats."""
+    if not isinstance(v, list) or len(v) != size:
+        raise CorpusError(f"bad {what} {v!r}", ln)
+    return tuple(_aux_number(x, what, ln) for x in v)
+
+
 def load_auxiliary(text):
     """Parse auxiliary.jsonl into a list of AuxiliaryRecord."""
     out = []
@@ -293,27 +319,29 @@ def load_auxiliary(text):
             raise CorpusError("record needs video_id and frame_time", ln)
         box = obj.get("person_box")
         if box is not None:
-            if len(box) != 4 or not all(math.isfinite(v) for v in box):
-                raise CorpusError(f"bad person_box {box!r}", ln)
-            box = tuple(float(v) for v in box)
+            box = _aux_numbers(box, 4, "person_box", ln)
         pose = obj.get("pose")
         if pose is not None:
+            if not isinstance(pose, list):
+                raise CorpusError(f"bad pose {pose!r}", ln)
             if n_kp is None:
                 n_kp = len(pose)
             elif len(pose) != n_kp:
                 raise CorpusError(f"pose keypoint count {len(pose)} != {n_kp}", ln)
-            for kp in pose:
-                if len(kp) != 3 or not all(math.isfinite(v) for v in kp):
-                    raise CorpusError(f"bad keypoint {kp!r}", ln)
-            pose = tuple(tuple(float(v) for v in kp) for kp in pose)
+            pose = tuple(_aux_numbers(kp, 3, "keypoint", ln) for kp in pose)
         motion = obj.get("motion")
-        if motion is not None and not math.isfinite(motion):
-            raise CorpusError(f"non-finite motion {motion!r}", ln)
+        if motion is not None:
+            motion = _aux_number(motion, "motion", ln)
+        count = obj.get("person_count")
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int)
+                                  or count < 0):
+            raise CorpusError(f"person_count must be a non-negative integer, "
+                              f"got {count!r}", ln)
         out.append(AuxiliaryRecord(
             video_id=str(obj["video_id"]),
-            frame_time=float(obj["frame_time"]),
+            frame_time=_aux_number(obj["frame_time"], "frame_time", ln),
             person_box=box,
-            person_count=obj.get("person_count"),
+            person_count=count,
             motion=motion,
             pose=pose,
         ))

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import boundary_region
-from .metrics import build_localization_items, classification_map, labels_matrix
+from .boundary import boundary_keep_mask
+from .metrics import (aligned_scores, build_localization_items, labels_matrix,
+                      sample_grid)
 
 LABELS = ("tp", "bnd", "obj", "vrb", "oth", "fp")
 
@@ -33,21 +34,6 @@ class ErrorBreakdown:
         return "\n".join(lines) + "\n"
 
 
-def _boundary_masks(items, vocab):
-    """(N, C) bool: item time inside a boundary region of an instance of c."""
-    bnd = np.zeros_like(items.labels, dtype=bool)
-    for v, ann in enumerate(items.annotations):
-        rows = np.flatnonzero(items.video_index == v)
-        if len(rows) == 0:
-            continue
-        t = items.times[rows]
-        for inst in ann.instances:
-            c = vocab.index[inst.category]
-            for s, e in boundary_region(inst, ann.duration).intervals:
-                bnd[rows[(t >= s) & (t <= e)], c] = True
-    return bnd
-
-
 def classify_top_predictions(preds, annotations, vocab, samples_per_video=25,
                              top_n=None):
     """Fraction of each class's top-ranked localization items per error type.
@@ -55,8 +41,14 @@ def classify_top_predictions(preds, annotations, vocab, samples_per_video=25,
     top_n defaults per class to its positive item count; classes with zero
     positives (or zero requested items) are masked.
     """
-    items = build_localization_items(preds, annotations, vocab, samples_per_video)
-    bnd = _boundary_masks(items, vocab)
+    grid = sample_grid(annotations, vocab, samples_per_video)
+    return classify_top_items(build_localization_items(preds, grid),
+                              boundary_keep_mask(grid, vocab), vocab, top_n)
+
+
+def classify_top_items(items, keep, vocab, top_n=None):
+    """classify_top_predictions on localization items, given their boundary
+    keep mask (boundary.boundary_keep_mask)."""
     active = items.labels          # (N, C) item inside an instance of c
     any_active = active.any(axis=1)
     n_classes = len(vocab)
@@ -82,7 +74,7 @@ def classify_top_predictions(preds, annotations, vocab, samples_per_video=25,
         for i in top:
             if active[i, c]:
                 counts["tp"] += 1
-            elif bnd[i, c]:
+            elif not keep[i, c]:
                 counts["bnd"] += 1
             elif active[i, obj_cols].any():
                 counts["obj"] += 1
@@ -102,9 +94,12 @@ def cross_confusion(preds, annotations, vocab):
     """(C, C) matrix: entry (A, B) is the mean score assigned to class A
     over videos containing B but not A; nan where no video qualifies and on
     the diagonal."""
-    by_id = {p.video_id: p for p in preds}
-    scores = np.stack([by_id[a.video_id].scores for a in annotations])
-    labels = labels_matrix(annotations, vocab)
+    return score_confusion(aligned_scores(preds, annotations),
+                           labels_matrix(annotations, vocab))
+
+
+def score_confusion(scores, labels):
+    """cross_confusion of a (V, C) score matrix and its (V, C) labels."""
     absent = ~labels                              # (V, C) for the A side
     num = (scores * absent).T @ labels            # (A, B) sums
     den = absent.astype(float).T @ labels         # qualifying video counts
@@ -119,38 +114,3 @@ def confusion_csv(mat, vocab):
     for i, cid in enumerate(ids):
         lines.append(cid + "," + ",".join(repr(float(v)) for v in mat[i]))
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class AblationDelta:
-    per_class_a: np.ndarray
-    per_class_b: np.ndarray
-    delta: np.ndarray           # b - a, nan where either masked
-    relative: np.ndarray        # delta / a
-    mean_a: float
-    mean_b: float
-    best: list                  # [(class_id, delta)] largest gains
-    worst: list
-
-
-def ablation_delta(preds_a, preds_b, annotations, vocab, extremes=5):
-    """Per-class AP difference between two prediction sets on the same
-    videos (set b relative to set a)."""
-    ids_a = {p.video_id for p in preds_a}
-    ids_b = {p.video_id for p in preds_b}
-    if ids_a != ids_b:
-        diff = sorted(ids_a ^ ids_b)
-        raise ValueError(f"prediction sets cover different videos: {diff[:10]}")
-    res_a = classification_map(preds_a, annotations, vocab)
-    res_b = classification_map(preds_b, annotations, vocab)
-    delta = res_b.per_class_ap - res_a.per_class_ap
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relative = delta / res_a.per_class_ap
-    ok = np.isfinite(delta)
-    order = np.argsort(delta[ok])
-    idx = np.flatnonzero(ok)[order]
-    ids = [vocab.categories[i].id for i in idx]
-    worst = [(ids[i], float(delta[idx[i]])) for i in range(min(extremes, len(idx)))]
-    best = [(ids[-1 - i], float(delta[idx[-1 - i]])) for i in range(min(extremes, len(idx)))]
-    return AblationDelta(res_a.per_class_ap, res_b.per_class_ap, delta, relative,
-                         res_a.mean_ap, res_b.mean_ap, best, worst)

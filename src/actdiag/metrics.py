@@ -138,11 +138,11 @@ def subset_constants(labels):
     return NormalizationConstants(n_pos, n_neg)
 
 
-def _per_class_eval(scores, labels, consts=None):
-    """Shared per-class AP over an items x classes score/label pair."""
+def per_class_eval(scores, labels):
+    """Per-class AP over an items x classes score/label pair, normalized by
+    the pair's subset_constants."""
     n_items, n_classes = scores.shape
-    if consts is None:
-        consts = subset_constants(labels)
+    consts = subset_constants(labels)
     per_class = np.full(n_classes, np.nan)
     n_pos = labels.sum(axis=0)
     n_neg = n_items - n_pos
@@ -153,20 +153,30 @@ def _per_class_eval(scores, labels, consts=None):
     return EvalResult(per_class, mean_ap, mask, n_pos, n_neg, consts)
 
 
-def classification_map(preds, annotations, vocab, consts=None):
+def aligned_predictions(preds, annotations, what="predictions"):
+    """Each annotated video's prediction, in annotation order; raises
+    ValueError naming the videos that `preds` (described by `what`) lacks."""
+    by_id = {p.video_id: p for p in preds}
+    missing = [a.video_id for a in annotations if a.video_id not in by_id]
+    if missing:
+        raise ValueError(f"missing {what} for {len(missing)} videos: "
+                         + ", ".join(missing[:10]))
+    return [by_id[a.video_id] for a in annotations]
+
+
+def aligned_scores(preds, annotations, what="predictions"):
+    """(V, C) scores of aligned_predictions."""
+    return np.stack([p.scores for p in aligned_predictions(preds, annotations, what)])
+
+
+def classification_map(preds, annotations, vocab):
     """Video-level mAP: a video is positive for class c iff it contains any
     instance of c.
 
     preds: list of VideoPredictions covering every annotated video.
     """
-    by_id = {p.video_id: p for p in preds}
-    missing = [a.video_id for a in annotations if a.video_id not in by_id]
-    if missing:
-        raise ValueError(f"missing predictions for {len(missing)} videos: "
-                         + ", ".join(missing[:10]))
-    scores = np.stack([by_id[a.video_id].scores for a in annotations])
-    labels = labels_matrix(annotations, vocab)
-    return _per_class_eval(scores, labels, consts)
+    return per_class_eval(aligned_scores(preds, annotations),
+                          labels_matrix(annotations, vocab))
 
 
 def sample_times(duration, n):
@@ -175,13 +185,20 @@ def sample_times(duration, n):
 
 
 @dataclass
-class LocalizationItems:
-    """Pooled per-frame evaluation items over a whole prediction set."""
+class SampleGrid:
+    """Equally spaced (video, time) items over an annotation list, the same
+    for every prediction set evaluated on it."""
     video_index: np.ndarray   # (N,) index into the annotation list
     times: np.ndarray         # (N,) sampled time in seconds
-    scores: np.ndarray        # (N, C)
     labels: np.ndarray        # (N, C) bool, time inside an instance of c
     annotations: list
+
+
+@dataclass
+class LocalizationItems(SampleGrid):
+    """A prediction set's scores on a sample grid."""
+    scores: np.ndarray        # (N, C) scores of the nearest predicted frame
+    frame_rows: np.ndarray    # (N,) that frame's row in its video's predictions
 
 
 def frame_labels(annotation, vocab, times):
@@ -193,44 +210,50 @@ def frame_labels(annotation, vocab, times):
     return labels
 
 
-def build_localization_items(preds, annotations, vocab, samples_per_video=25):
-    """Sample each video at equally spaced times and look up the nearest
-    predicted frame (within one frame period)."""
-    by_id = {p.video_id: p for p in preds}
-    missing = [a.video_id for a in annotations if a.video_id not in by_id]
-    if missing:
-        raise ValueError(f"missing frame predictions for {len(missing)} videos: "
-                         + ", ".join(missing[:10]))
-    vidx, all_times, all_scores, all_labels = [], [], [], []
-    for v, ann in enumerate(annotations):
-        fp = by_id[ann.video_id]
-        times = sample_times(ann.duration, samples_per_video)
+def sample_grid(annotations, vocab, samples_per_video=25):
+    """Sample each video at samples_per_video equally spaced times."""
+    times = [sample_times(a.duration, samples_per_video) for a in annotations]
+    return SampleGrid(np.repeat(np.arange(len(annotations)), samples_per_video),
+                      np.concatenate(times),
+                      np.vstack([frame_labels(a, vocab, t)
+                                 for a, t in zip(annotations, times)]),
+                      list(annotations))
+
+
+def build_localization_items(preds, grid, what="frame predictions"):
+    """Look up, for every grid item, the nearest predicted frame (within
+    one frame period) of its video."""
+    n_videos = len(grid.annotations)
+    times = grid.times.reshape(n_videos, -1)
+    rows = np.empty(times.shape, dtype=int)
+    scores = np.empty(grid.labels.shape)
+    per_video = scores.reshape(n_videos, times.shape[1], -1)
+    for v, fp in enumerate(aligned_predictions(preds, grid.annotations, what)):
+        t = times[v]
         ft = fp.frame_times
         if len(ft) > 1:
             period = float(np.median(np.diff(ft)))
-            nearest = np.clip(np.searchsorted(ft, times), 1, len(ft) - 1)
-            nearest = np.where(times - ft[nearest - 1] <= ft[nearest] - times,
+            nearest = np.clip(np.searchsorted(ft, t), 1, len(ft) - 1)
+            nearest = np.where(t - ft[nearest - 1] <= ft[nearest] - t,
                                nearest - 1, nearest)
-            dist = np.abs(ft[nearest] - times)
+            dist = np.abs(ft[nearest] - t)
             if np.any(dist > period + 1e-9):
-                bad = times[dist > period + 1e-9][0]
-                raise ValueError(f"{ann.video_id}: no predicted frame within one "
+                bad = t[dist > period + 1e-9][0]
+                raise ValueError(f"{fp.video_id}: no predicted frame within one "
                                  f"frame period of t={bad:.3f}s")
         else:
-            nearest = np.zeros(len(times), dtype=int)
-        vidx.append(np.full(samples_per_video, v))
-        all_times.append(times)
-        all_scores.append(fp.scores[nearest])
-        all_labels.append(frame_labels(ann, vocab, times))
-    return LocalizationItems(np.concatenate(vidx), np.concatenate(all_times),
-                             np.vstack(all_scores), np.vstack(all_labels),
-                             list(annotations))
+            nearest = np.zeros(len(t), dtype=int)
+        rows[v] = nearest
+        per_video[v] = fp.scores[nearest]
+    return LocalizationItems(grid.video_index, grid.times, grid.labels,
+                             grid.annotations, scores, rows.ravel())
 
 
-def localization_map(preds, annotations, vocab, samples_per_video=25, consts=None):
+def localization_map(preds, annotations, vocab, samples_per_video=25):
     """Per-frame mAP over all (video, sampled time) items pooled per class."""
-    items = build_localization_items(preds, annotations, vocab, samples_per_video)
-    return _per_class_eval(items.scores, items.labels, consts)
+    items = build_localization_items(
+        preds, sample_grid(annotations, vocab, samples_per_video))
+    return per_class_eval(items.scores, items.labels)
 
 
 # --- weighted AP (bootstrap fast path) ---

@@ -5,6 +5,11 @@ The bundle is one directory with summary.md (human readable), report.json
 (every table, the machine contract), and one CSV per table. Every number in
 the summary also appears in a table. Outputs are deterministic given
 (inputs, config, seed), independent of worker count.
+
+The report is an ordered list of sections, each a function of one
+RunContext that loads every input and computes every shared intermediate
+at most once. Each CLI subcommand prints what the same context and
+sections compute.
 """
 
 import argparse
@@ -13,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,21 +30,24 @@ from . import oracles as oracle_mod
 from . import stats as stats_mod
 from . import temporal as temporal_mod
 from .corpus import (load_annotations, load_auxiliary, load_predictions,
-                     load_vocabulary, validate_corpus, dump_video_predictions,
-                     VideoPredictions)
-from .metrics import (classification_map, eval_result_csv, labels_matrix,
-                      localization_map)
+                     load_vocabulary, validate_corpus, dump_video_predictions)
+from .metrics import classification_map, eval_result_csv, labels_matrix
 
 DEFAULT_SWEEP = (0.0, 0.01, 0.02, 0.04, 0.08, 0.16)
 DEFAULT_INTENT_KS = (30, 50)
 POSE_CLUSTERS = 500
 
-SUGGESTION_TEXT = {
-    "boundary_sensitivity": "predictions are boundary-sensitive; consider fluid-boundary training",
-    "object_confusion": "confusion among same-object classes; add fine-grained discrimination",
-    "temporal_aggregation": "add temporal aggregation",
-    "person_crop": "add person-centered cropping",
-    "sequence_modeling": "add sequence modeling",
+# rule -> (suggestion text, the thresholds the rule reads)
+RULES = {
+    "boundary_sensitivity": (
+        "predictions are boundary-sensitive; consider fluid-boundary training",
+        ("boundary_gain",)),
+    "object_confusion": (
+        "confusion among same-object classes; add fine-grained discrimination",
+        ("object_rho", "object_p")),
+    "temporal_aggregation": ("add temporal aggregation", ()),
+    "person_crop": ("add person-centered cropping", ()),
+    "sequence_modeling": ("add sequence modeling", ("temporal_gain",)),
 }
 
 
@@ -77,21 +86,106 @@ def _is_frame_file(path):
     return False
 
 
-def _load_methods(config, vocab):
-    """name -> dict with 'video' (always, max-pooled if needed) and
-    optionally 'frame' prediction lists."""
-    methods = {}
-    for name in sorted(config.predictions):
-        path = config.predictions[name]
-        with open(path) as f:
-            if _is_frame_file(path):
-                frame = load_predictions(f, vocab, "frame")
-                video = temporal_mod._maxpool_predictions(frame)
-                methods[name] = {"frame": frame, "video": video}
-            else:
-                methods[name] = {"frame": None,
-                                 "video": load_predictions(f, vocab, "video")}
-    return methods
+def _load(path, loader, *args):
+    """loader applied to the open file at path; None when there is no path."""
+    if not path:
+        return None
+    with open(path) as f:
+        return loader(f, *args)
+
+
+class MethodResults:
+    """One prediction set and the results derived from it, each computed
+    on first use."""
+
+    def __init__(self, ctx, name, path):
+        self.ctx, self.name = ctx, name
+        mode = "frame" if _is_frame_file(path) else "video"
+        preds = _load(path, load_predictions, ctx.vocab, mode)
+        self.frame = preds if mode == "frame" else None
+        self.video = preds if self.frame is None else temporal_mod._maxpool_predictions(preds)
+
+    @cached_property
+    def scores(self):
+        """(V, C) video scores in test-annotation order."""
+        return metrics.aligned_scores(self.video, self.ctx.test,
+                                      f"{self.name} predictions")
+
+    @cached_property
+    def classification(self):
+        return metrics.per_class_eval(self.scores, self.ctx.labels)
+
+    @cached_property
+    def items(self):
+        return metrics.build_localization_items(self.frame, self.ctx.grid,
+                                                f"{self.name} frame predictions")
+
+    @cached_property
+    def localization(self):
+        return metrics.per_class_eval(self.items.scores, self.items.labels)
+
+    @cached_property
+    def boundary_excluded(self):
+        return boundary_mod.excluded_eval(self.items, self.ctx.keep)
+
+
+class RunContext:
+    """The inputs of one run and the intermediates that sections share.
+    Each is loaded or computed on first use, at most once per run."""
+
+    def __init__(self, config):
+        self.config = config
+
+    @cached_property
+    def vocab(self):
+        return _load(self.config.vocab, load_vocabulary)
+
+    @cached_property
+    def test(self):
+        return _load(self.config.test, load_annotations, self.vocab)
+
+    @cached_property
+    def train(self):
+        return _load(self.config.train, load_annotations, self.vocab)
+
+    @cached_property
+    def aux(self):
+        return _load(self.config.aux, load_auxiliary)
+
+    @cached_property
+    def reannotations(self):
+        return _load(self.config.reannotations, load_annotations, self.vocab)
+
+    @cached_property
+    def methods(self):
+        """name -> MethodResults, in name order."""
+        return {name: MethodResults(self, name, self.config.predictions[name])
+                for name in sorted(self.config.predictions)}
+
+    @cached_property
+    def labels(self):
+        """(V, C) test video labels."""
+        return labels_matrix(self.test, self.vocab)
+
+    @cached_property
+    def grid(self):
+        """The sampled (video, time) items every localization shares."""
+        return metrics.sample_grid(self.test, self.vocab,
+                                   self.config.samples_per_video)
+
+    @cached_property
+    def keep(self):
+        return boundary_mod.boundary_keep_mask(self.grid, self.vocab)
+
+    @cached_property
+    def category_table(self):
+        ann = self.train if self.train is not None else self.test
+        return attr_mod.category_attributes(self.vocab, ann, self.aux,
+                                            seed=self.config.seed)
+
+    @cached_property
+    def video_table(self):
+        return attr_mod.video_attributes(self.test, self.aux)
 
 
 # --- fast bootstrap of classification mAP over videos ---
@@ -153,7 +247,7 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0, workers=1,
     npos_all = posw.mean(axis=1)
     nneg_all = n - npos_all
     tasks = []
-    for c in range(n_classes):
+    for c in np.flatnonzero(labels.any(axis=0)):   # other classes are never live
         o = np.lexsort((labels[:, c].astype(np.int8), -scores[:, c]))
         tasks.append((weights, o, labels[o, c], metrics._block_ends(scores[o, c]),
                       npos_all, nneg_all, chunk))
@@ -173,83 +267,7 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0, workers=1,
     return float(low), float(high)
 
 
-def _correlate(per_class_ap, mask, table, vocab, attrs, permutations, seed):
-    rows = []
-    for attr in attrs:
-        xs, ys = [], []
-        for i, cat in enumerate(vocab.categories):
-            v = getattr(table[cat.id], attr)
-            if v is None or not mask[i]:
-                continue
-            xs.append(float(v))
-            ys.append(float(per_class_ap[i]))
-        if len(xs) < 3:
-            continue
-        try:
-            c = stats_mod.pearson(xs, ys, permutations, seed)
-        except ValueError:
-            continue
-        rows.append({"attribute": attr, "rho": c.rho, "p": c.p_value, "n": c.n})
-    return rows
-
-
-def _category_curves(per_class_ap, mask, table, vocab, attrs, bins):
-    curves = {}
-    for attr in attrs:
-        pairs = []
-        for i, cat in enumerate(vocab.categories):
-            v = getattr(table[cat.id], attr)
-            if v is None or not mask[i]:
-                continue
-            pairs.append((float(v), float(per_class_ap[i])))
-        if len(pairs) < bins:
-            continue
-        curves[attr] = stats_mod.bin_by_attribute(pairs, bins)
-    return curves
-
-
-def _video_curves(methods, annotations, vocab, vtable, attrs, bins):
-    """Bin videos by an attribute and compute mAP per bin via weighted
-    evaluation of the member subset."""
-    curves = {}
-    from .metrics import weighted_classification_map
-    for name, m in methods.items():
-        by_id = {p.video_id: p for p in m["video"]}
-        scores = np.stack([by_id[a.video_id].scores for a in annotations])
-        labels = labels_matrix(annotations, vocab)
-        for attr in attrs:
-            pairs = []
-            for v, ann in enumerate(annotations):
-                val = getattr(vtable[ann.video_id], attr)
-                if val is None:
-                    continue
-                pairs.append((float(val), v))
-            if len(pairs) < bins:
-                continue
-            xs = np.array([p[0] for p in pairs])
-            idx = np.array([p[1] for p in pairs])
-            order = np.lexsort((np.arange(len(xs)), xs))
-            sizes = np.full(bins, len(xs) // bins)
-            sizes[: len(xs) % bins] += 1
-            bounds = np.concatenate([[0], np.cumsum(sizes)])
-            rows = []
-            for bi in range(bins):
-                sel = idx[order[bounds[bi]:bounds[bi + 1]]]
-                if len(sel) == 0:
-                    continue
-                w = np.zeros(len(annotations), dtype=int)
-                w[sel] = 1
-                try:
-                    m_ap = weighted_classification_map(scores, labels, w)
-                except ValueError:
-                    m_ap = float("nan")
-                rows.append({"x_center": float(xs[order[bounds[bi]:bounds[bi + 1]]].mean()),
-                             "map": m_ap, "n": int(len(sel))})
-            curves[f"{name}:{attr}"] = rows
-    return curves
-
-
-def suggest(report, thresholds=None):
+def suggest(report):
     """Transparent threshold rules over report quantities.
 
     Rules (per method where the inputs exist):
@@ -261,13 +279,12 @@ def suggest(report, thresholds=None):
     """
     th = {"boundary_gain": 0.01, "object_rho": -0.2, "object_p": 0.05,
           "temporal_gain": 0.05}
-    th.update(thresholds or {})
     out = []
 
     def rule(rid, method, triggered):
+        text, keys = RULES[rid]
         out.append({"rule": rid, "method": method, "triggered": bool(triggered),
-                    "text": SUGGESTION_TEXT[rid],
-                    "thresholds": {k: v for k, v in th.items() if k.startswith(rid.split("_")[0])}})
+                    "text": text, "thresholds": {k: th[k] for k in keys}})
 
     for name, ev in report.get("evaluation", {}).items():
         loc = ev.get("localization_map")
@@ -301,211 +318,251 @@ CATEGORY_ATTRS = ("train_examples", "train_frames", "avg_extent",
 VIDEO_ATTRS = ("num_actions", "person_size", "multi_person", "mean_motion")
 
 
-def run_report(config):
-    """Execute the full battery and write the bundle; returns the report
-    dict. Any module failure aborts before anything is written."""
-    with open(config.vocab) as f:
-        vocab = load_vocabulary(f)
-    with open(config.test) as f:
-        test_ann = load_annotations(f, vocab)
-    train_ann = None
-    if config.train:
-        with open(config.train) as f:
-            train_ann = load_annotations(f, vocab)
-    aux = None
-    if config.aux:
-        with open(config.aux) as f:
-            aux = load_auxiliary(f)
-    reann = None
-    if config.reannotations:
-        with open(config.reannotations) as f:
-            reann = load_annotations(f, vocab)
-    methods = _load_methods(config, vocab)
-    s = config.samples_per_video
-    report = {"config": {
-        "seed": config.seed, "samples_per_video": s,
-        "sweep_fractions": list(config.sweep_fractions),
-        "intent_ks": list(config.intent_ks),
-        "bootstrap_resamples": config.bootstrap_resamples,
-        "permutations": config.permutations, "bins": config.bins,
-        "methods": sorted(methods),
-    }}
-    csvs = {}
+# --- report sections: each maps the context to (report keys, CSV files) ---
 
-    val = validate_corpus(test_ann, {n: m["video"] for n, m in methods.items()}, aux)
-    report["validation"] = {
-        "findings": val.findings,
-        "auxiliary_coverage": val.auxiliary_coverage,
-    }
+def _validation(ctx):
+    val = validate_corpus(ctx.test, {n: m.video for n, m in ctx.methods.items()},
+                          ctx.aux)
+    return {"validation": {"findings": val.findings,
+                           "auxiliary_coverage": val.auxiliary_coverage}}, {}
 
-    # evaluation core
-    labels = labels_matrix(test_ann, vocab)
-    report["evaluation"] = {}
-    eval_results = {}
-    for name, m in methods.items():
-        ev = {}
-        cls = classification_map(m["video"], test_ann, vocab)
-        eval_results[name] = {"classification": cls}
-        csvs[f"classification_{name}.csv"] = eval_result_csv(cls, vocab)
-        by_id = {p.video_id: p for p in m["video"]}
-        scores = np.stack([by_id[a.video_id].scores for a in test_ann])
-        low, high = bootstrap_map_ci(scores, labels, config.bootstrap_resamples,
-                                     0.95, config.seed, config.workers)
-        ev["classification_map"] = cls.mean_ap
-        ev["classification_map_ci"] = [low, high]
-        if m["frame"] is not None:
-            loc = localization_map(m["frame"], test_ann, vocab, s)
-            bex = boundary_mod.boundary_excluded_eval(m["frame"], test_ann, vocab, s)
-            eval_results[name]["localization"] = loc
-            csvs[f"localization_{name}.csv"] = eval_result_csv(loc, vocab)
-            csvs[f"boundary_excluded_{name}.csv"] = eval_result_csv(bex, vocab)
-            ev["localization_map"] = loc.mean_ap
-            ev["boundary_excluded_map"] = bex.mean_ap
-            ev["boundary_gain"] = bex.mean_ap - loc.mean_ap
-        else:
+
+def _evaluation(ctx):
+    c = ctx.config
+    evaluation, csvs = {}, {}
+    for name, m in ctx.methods.items():
+        cls = m.classification
+        csvs[f"classification_{name}.csv"] = eval_result_csv(cls, ctx.vocab)
+        low, high = bootstrap_map_ci(m.scores, ctx.labels, c.bootstrap_resamples,
+                                     0.95, c.seed, c.workers)
+        ev = evaluation[name] = {"classification_map": cls.mean_ap,
+                                 "classification_map_ci": [low, high]}
+        if m.frame is None:
             ev["localization"] = "skipped: no frame predictions"
-        report["evaluation"][name] = ev
-
-    oracle_loc = boundary_mod.perfect_classifier_localization(test_ann, vocab, s)
-    report["perfect_classifier_localization_map"] = oracle_loc.mean_ap
-    csvs["perfect_classifier_localization.csv"] = eval_result_csv(oracle_loc, vocab)
-
-    if reann is not None:
-        records, summary = boundary_mod.agreement(reann, test_ann,
-                                                  config.permutations, config.seed)
-        report["agreement"] = summary
-        csvs["agreement.csv"] = boundary_mod.agreement_csv(records)
-    else:
-        report["agreement"] = "skipped: no re-annotations"
-
-    report["error_breakdown"] = {}
-    report["confusion"] = {}
-    for name, m in methods.items():
-        if m["frame"] is not None:
-            bd = erroranalysis.classify_top_predictions(m["frame"], test_ann, vocab, s)
-            csvs[f"errors_{name}.csv"] = bd.to_csv(vocab)
-            means = np.nanmean(bd.fractions[bd.mask], axis=0) if bd.mask.any() else \
-                np.full(len(erroranalysis.LABELS), np.nan)
-            report["error_breakdown"][name] = dict(zip(erroranalysis.LABELS,
-                                                       [float(v) for v in means]))
-        else:
-            report["error_breakdown"][name] = "skipped: no frame predictions"
-        conf = erroranalysis.cross_confusion(m["video"], test_ann, vocab)
-        csvs[f"confusion_{name}.csv"] = erroranalysis.confusion_csv(conf, vocab)
-        report["confusion"][name] = {"mean_offdiag": float(np.nanmean(conf))}
-
-    attr_ann = train_ann if train_ann is not None else test_ann
-    ctable = attr_mod.category_attributes(vocab, attr_ann, aux, seed=config.seed)
-    vtable = attr_mod.video_attributes(test_ann, aux)
-    csvs["category_attributes.csv"] = attr_mod.category_attributes_csv(ctable)
-    csvs["video_attributes.csv"] = attr_mod.video_attributes_csv(vtable)
-    report["category_attributes"] = "see category_attributes.csv"
-    report["video_attributes"] = "see video_attributes.csv"
-
-    report["category_curves"] = {}
-    report["correlations"] = {}
-    for name in methods:
-        cls = eval_results[name]["classification"]
-        curves = _category_curves(cls.per_class_ap, cls.class_mask, ctable,
-                                  vocab, CATEGORY_ATTRS, config.bins)
-        for attr, curve in curves.items():
-            csvs[f"curve_{name}_{attr}.csv"] = curve.to_csv()
-            report["category_curves"][f"{name}:{attr}"] = [
-                {"x_center": float(x), "y_mean": float(ym), "y_std": float(ys),
-                 "n": int(n)}
-                for x, ym, ys, n in zip(curve.x_center, curve.y_mean,
-                                        curve.y_std, curve.n)]
-        report["correlations"][name] = _correlate(
-            cls.per_class_ap, cls.class_mask, ctable, vocab, CATEGORY_ATTRS,
-            config.permutations, config.seed)
-
-    report["video_curves"] = _video_curves(methods, test_ann, vocab, vtable,
-                                           VIDEO_ATTRS, config.bins)
-
-    report["smoothing_sweep"] = {}
-    report["context_benefit"] = {}
-    for name, m in methods.items():
-        if m["frame"] is not None:
-            sweep = temporal_mod.smoothing_sweep(m["frame"], test_ann, vocab,
-                                                 config.sweep_fractions, s)
-            csvs[f"sweep_{name}.csv"] = sweep.to_csv()
-            report["smoothing_sweep"][name] = {
-                "fractions": sweep.fractions, "loc_map": sweep.loc_map,
-                "cls_map": sweep.cls_map, "best_fraction": sweep.best_fraction}
-        else:
-            report["smoothing_sweep"][name] = "skipped: no frame predictions"
-        cb = temporal_mod.context_benefit(m["video"], test_ann, vocab)
-        csvs[f"context_{name}.csv"] = cb.to_csv(vocab)
-        report["context_benefit"][name] = {"mean_count": float(cb.counts.mean()),
-                                           "margin": cb.margin}
-
-    if train_ann is not None:
-        ov = temporal_mod.overlap_stats(train_ann, vocab)
-        csvs["overlap.csv"] = erroranalysis.confusion_csv(ov, vocab)
-        report["overlap"] = {"mean_offdiag": float(np.nanmean(ov))}
-    else:
-        report["overlap"] = "skipped: no training annotations"
-
-    report["oracles"] = _oracle_section(config, vocab, test_ann, train_ann,
-                                        aux, methods, csvs)
-
-    report["suggestions"] = suggest(report)
-    csvs["suggestions.csv"] = "\n".join(
-        ["rule,method,triggered,text"]
-        + [f"{r['rule']},{r['method']},{int(r['triggered'])},\"{r['text']}\""
-           for r in report["suggestions"]]) + "\n"
-
-    _write_bundle(config.out, report, csvs)
-    return report
+            continue
+        loc, bex = m.localization, m.boundary_excluded
+        csvs[f"localization_{name}.csv"] = eval_result_csv(loc, ctx.vocab)
+        csvs[f"boundary_excluded_{name}.csv"] = eval_result_csv(bex, ctx.vocab)
+        ev["localization_map"] = loc.mean_ap
+        ev["boundary_excluded_map"] = bex.mean_ap
+        ev["boundary_gain"] = bex.mean_ap - loc.mean_ap
+    return {"evaluation": evaluation}, csvs
 
 
-def _oracle_section(config, vocab, test_ann, train_ann, aux, methods, csvs):
+def _perfect_classifier(ctx):
+    res = boundary_mod.perfect_classifier_eval(ctx.grid, ctx.labels)
+    return ({"perfect_classifier_localization_map": res.mean_ap},
+            {"perfect_classifier_localization.csv": eval_result_csv(res, ctx.vocab)})
+
+
+def _agreement(ctx):
+    if ctx.reannotations is None:
+        return {"agreement": "skipped: no re-annotations"}, {}
+    records, summary = boundary_mod.agreement(ctx.reannotations, ctx.test,
+                                              ctx.config.permutations, ctx.config.seed)
+    return {"agreement": summary}, {"agreement.csv": boundary_mod.agreement_csv(records)}
+
+
+def _error_types(ctx):
+    breakdown, csvs = {}, {}
+    for name, m in ctx.methods.items():
+        if m.frame is None:
+            breakdown[name] = "skipped: no frame predictions"
+            continue
+        bd = erroranalysis.classify_top_items(m.items, ctx.keep, ctx.vocab)
+        csvs[f"errors_{name}.csv"] = bd.to_csv(ctx.vocab)
+        means = np.nanmean(bd.fractions[bd.mask], axis=0) if bd.mask.any() else \
+            np.full(len(erroranalysis.LABELS), np.nan)
+        breakdown[name] = dict(zip(erroranalysis.LABELS, [float(v) for v in means]))
+    return {"error_breakdown": breakdown}, csvs
+
+
+def _confusion(ctx):
+    confusion, csvs = {}, {}
+    for name, m in ctx.methods.items():
+        conf = erroranalysis.score_confusion(m.scores, ctx.labels)
+        csvs[f"confusion_{name}.csv"] = erroranalysis.confusion_csv(conf, ctx.vocab)
+        confusion[name] = {"mean_offdiag": float(np.nanmean(conf))}
+    return {"confusion": confusion}, csvs
+
+
+def _attributes(ctx):
+    return ({"category_attributes": "see category_attributes.csv",
+             "video_attributes": "see video_attributes.csv"},
+            {"category_attributes.csv": attr_mod.category_attributes_csv(ctx.category_table),
+             "video_attributes.csv": attr_mod.video_attributes_csv(ctx.video_table)})
+
+
+def _correlations(ctx):
+    """Per method: AP binned by, and correlated with, each category
+    attribute, over the classes evaluated."""
+    c = ctx.config
+    curves, correlations, csvs = {}, {}, {}
+    for name, m in ctx.methods.items():
+        cls = m.classification
+        rows = correlations[name] = []
+        for attr in CATEGORY_ATTRS:
+            pairs = [(float(v), float(cls.per_class_ap[i]))
+                     for i, cat in enumerate(ctx.vocab.categories)
+                     if cls.class_mask[i]
+                     and (v := getattr(ctx.category_table[cat.id], attr)) is not None]
+            if len(pairs) >= c.bins:
+                curve = stats_mod.bin_by_attribute(pairs, c.bins)
+                csvs[f"curve_{name}_{attr}.csv"] = curve.to_csv()
+                curves[f"{name}:{attr}"] = [
+                    {"x_center": float(x), "y_mean": float(ym), "y_std": float(ys),
+                     "n": int(n)}
+                    for x, ym, ys, n in zip(curve.x_center, curve.y_mean,
+                                            curve.y_std, curve.n)]
+            if len(pairs) < 3:
+                continue
+            try:
+                r = stats_mod.pearson([x for x, _ in pairs], [y for _, y in pairs],
+                                      c.permutations, c.seed)
+            except ValueError:
+                continue
+            rows.append({"attribute": attr, "rho": r.rho, "p": r.p_value, "n": r.n})
+    return {"category_curves": curves, "correlations": correlations}, csvs
+
+
+def _video_curves(ctx):
+    """Bin videos by an attribute and compute mAP per bin via weighted
+    evaluation of the member subset."""
+    bins = ctx.config.bins
+    curves = {}
+    for name, m in ctx.methods.items():
+        for attr in VIDEO_ATTRS:
+            pairs = [(float(val), v) for v, ann in enumerate(ctx.test)
+                     if (val := getattr(ctx.video_table[ann.video_id], attr)) is not None]
+            if len(pairs) < bins:
+                continue
+            xs = np.array([p[0] for p in pairs])
+            idx = np.array([p[1] for p in pairs])
+            rows = []
+            for members in stats_mod.equal_population_bins(xs, bins):
+                w = np.zeros(len(ctx.test), dtype=int)
+                w[idx[members]] = 1
+                try:
+                    m_ap = metrics.weighted_classification_map(m.scores, ctx.labels, w)
+                except ValueError:
+                    m_ap = float("nan")
+                rows.append({"x_center": float(xs[members].mean()), "map": m_ap,
+                             "n": len(members)})
+            curves[f"{name}:{attr}"] = rows
+    return {"video_curves": curves}, {}
+
+
+def _smoothing(ctx):
+    sweeps, csvs = {}, {}
+    for name, m in ctx.methods.items():
+        if m.frame is None:
+            sweeps[name] = "skipped: no frame predictions"
+            continue
+        sweep = temporal_mod.sweep_items(m.frame, m.items, ctx.labels,
+                                         ctx.config.sweep_fractions,
+                                         m.localization, m.classification)
+        csvs[f"sweep_{name}.csv"] = sweep.to_csv()
+        sweeps[name] = {"fractions": sweep.fractions, "loc_map": sweep.loc_map,
+                        "cls_map": sweep.cls_map, "best_fraction": sweep.best_fraction}
+    return {"smoothing_sweep": sweeps}, csvs
+
+
+def _context_benefit(ctx):
+    benefit, csvs = {}, {}
+    for name, m in ctx.methods.items():
+        cb = temporal_mod.score_context_benefit(m.scores, ctx.labels)
+        csvs[f"context_{name}.csv"] = cb.to_csv(ctx.vocab)
+        benefit[name] = {"mean_count": float(cb.counts.mean()), "margin": cb.margin}
+    return {"context_benefit": benefit}, csvs
+
+
+def _overlap(ctx):
+    if ctx.train is None:
+        return {"overlap": "skipped: no training annotations"}, {}
+    ov = temporal_mod.overlap_stats(ctx.train, ctx.vocab)
+    return ({"overlap": {"mean_offdiag": float(np.nanmean(ov))}},
+            {"overlap.csv": erroranalysis.confusion_csv(ov, ctx.vocab)})
+
+
+def _oracles(ctx):
+    c, vocab, test, train = ctx.config, ctx.vocab, ctx.test, ctx.train
     sec = {"single": {}, "combined": {}}
     oracle_preds = {
-        "object": oracle_mod.object_oracle(test_ann, vocab),
-        "verb": oracle_mod.verb_oracle(test_ann, vocab),
+        "object": oracle_mod.object_oracle(test, vocab),
+        "verb": oracle_mod.verb_oracle(test, vocab),
     }
-    if train_ann is not None:
-        stats = oracle_mod.build_temporal_stats(train_ann, vocab,
-                                                config.samples_per_video)
+    if train is not None:
+        stats = oracle_mod.build_temporal_stats(train, vocab, c.samples_per_video)
         oracle_preds["temporal"] = oracle_mod.temporal_oracle(
-            stats, test_ann, vocab, config.samples_per_video)
-        train_labels = labels_matrix(train_ann, vocab)
-        nonzero = int((train_labels.sum(axis=1) > 0).sum())
-        for k in config.intent_ks:
+            stats, test, vocab, c.samples_per_video)
+        nonzero = int((labels_matrix(train, vocab).sum(axis=1) > 0).sum())
+        for k in c.intent_ks:
             if nonzero < k:
                 sec["single"][f"intent{k}"] = "skipped: too few training videos"
                 continue
-            clusters = oracle_mod.build_intent_clusters(train_ann, vocab, k,
-                                                        config.seed)
-            oracle_preds[f"intent{k}"] = oracle_mod.intent_oracle(
-                clusters, test_ann, vocab)
-        posed = sum(1 for r in aux or () if r.pose is not None)
-        if aux is not None and posed >= config.pose_k:
-            pc = oracle_mod.build_pose_clusters(train_ann, aux, vocab,
-                                                config.pose_k, config.seed,
-                                                config.samples_per_video)
-            oracle_preds["pose"] = oracle_mod.pose_oracle(pc, test_ann, aux, vocab)
+            clusters = oracle_mod.build_intent_clusters(train, vocab, k, c.seed)
+            oracle_preds[f"intent{k}"] = oracle_mod.intent_oracle(clusters, test, vocab)
+        posed = sum(1 for r in ctx.aux or () if r.pose is not None)
+        if ctx.aux is not None and posed >= c.pose_k:
+            pc = oracle_mod.build_pose_clusters(train, ctx.aux, vocab, c.pose_k,
+                                                c.seed, c.samples_per_video)
+            oracle_preds["pose"] = oracle_mod.pose_oracle(pc, test, ctx.aux, vocab)
         else:
             sec["single"]["pose"] = "skipped: not enough posed frames"
     else:
         sec["single"]["temporal"] = "skipped: no training annotations"
 
+    test_ids = {a.video_id for a in test}
+    annotated = {name: [p for p in m.video if p.video_id in test_ids]
+                 for name, m in ctx.methods.items()}
+    csvs = {}
     for oname, preds in oracle_preds.items():
-        res = classification_map(preds, test_ann, vocab)
-        sec["single"][oname] = res.mean_ap
+        sec["single"][oname] = classification_map(preds, test, vocab).mean_ap
         csvs[f"oracle_{oname}.preds"] = dump_video_predictions(preds)
-        for mname, m in methods.items():
-            sub = [p for p in m["video"]
-                   if p.video_id in {a.video_id for a in test_ann}]
+        for mname, sub in annotated.items():
             combined = oracle_mod.combine(preds, sub)
-            cres = classification_map(combined, test_ann, vocab)
-            sec["combined"][f"{oname}+{mname}"] = cres.mean_ap
+            sec["combined"][f"{oname}+{mname}"] = classification_map(combined, test,
+                                                                     vocab).mean_ap
     rows = ["oracle,map"] + [f"{k},{v!r}" for k, v in sec["single"].items()
                              if not isinstance(v, str)]
     rows += ["combination,map"] + [f"{k},{v!r}" for k, v in sec["combined"].items()]
     csvs["oracle_eval.csv"] = "\n".join(rows) + "\n"
-    return sec
+    return {"oracles": sec}, csvs
+
+
+SECTIONS = (_validation, _evaluation, _perfect_classifier, _agreement,
+            _error_types, _confusion, _attributes, _correlations, _video_curves,
+            _smoothing, _context_benefit, _overlap, _oracles)
+
+
+def run_report(config):
+    """Execute the full battery and write the bundle; returns the report
+    dict. Any module failure aborts before anything is written."""
+    return _report(RunContext(config))
+
+
+def _report(ctx):
+    c = ctx.config
+    report = {"config": {
+        "seed": c.seed, "samples_per_video": c.samples_per_video,
+        "sweep_fractions": list(c.sweep_fractions),
+        "intent_ks": list(c.intent_ks),
+        "bootstrap_resamples": c.bootstrap_resamples,
+        "permutations": c.permutations, "bins": c.bins,
+        "methods": sorted(c.predictions),
+    }}
+    csvs = {}
+    for section in SECTIONS:
+        fragment, tables = section(ctx)
+        report.update(fragment)
+        csvs.update(tables)
+    report["suggestions"] = suggest(report)
+    csvs["suggestions.csv"] = "\n".join(
+        ["rule,method,triggered,text"]
+        + [f"{r['rule']},{r['method']},{int(r['triggered'])},\"{r['text']}\""
+           for r in report["suggestions"]]) + "\n"
+    _write_bundle(c.out, report, csvs)
+    return report
 
 
 def _render_summary(report):
@@ -579,6 +636,91 @@ def _write_bundle(out_dir, report, csvs):
         raise
 
 
+# --- CLI subcommands: each prints what the context or a section computed ---
+
+def _print_validate(ctx):
+    val = _validation(ctx)[0]["validation"]
+    for line in val["findings"] or ["no findings"]:
+        print(line)
+    if val["auxiliary_coverage"] is not None:
+        print(f"auxiliary coverage: {val['auxiliary_coverage']:.3f}")
+
+
+def _print_eval(ctx):
+    for name, m in ctx.methods.items():
+        print(f"{name}: classification mAP {m.classification.mean_ap:.4f}")
+        if m.frame is not None:
+            print(f"{name}: localization mAP {m.localization.mean_ap:.4f}")
+
+
+def _print_boundary(ctx):
+    oracle = _perfect_classifier(ctx)[0]["perfect_classifier_localization_map"]
+    print(f"perfect-classifier localization mAP {oracle:.4f}")
+    for name, m in ctx.methods.items():
+        if m.frame is not None:
+            print(f"{name}: localization {m.localization.mean_ap:.4f} -> "
+                  f"boundary-excluded {m.boundary_excluded.mean_ap:.4f}")
+
+
+def _print_agreement(ctx):
+    if ctx.reannotations is None:
+        raise SystemExit("agreement requires --reannotations")
+    print(json.dumps(_agreement(ctx)[0]["agreement"], indent=2, default=_json_default))
+
+
+def _print_errors(ctx):
+    for name, bd in _error_types(ctx)[0]["error_breakdown"].items():
+        if isinstance(bd, str):
+            print(f"{name}: skipped (no frame predictions)")
+        else:
+            print(f"{name}: " + " ".join(f"{k}={v:.3f}" for k, v in bd.items()))
+
+
+def _print_attributes(ctx):
+    sys.stdout.write(_attributes(ctx)[1]["category_attributes.csv"])
+
+
+def _print_correlate(ctx):
+    for name, rows in _correlations(ctx)[0]["correlations"].items():
+        for row in rows:
+            print(f"{name} {row['attribute']}: rho={row['rho']:.3f} "
+                  f"p={row['p']:.4f} n={row['n']}")
+
+
+def _print_oracles(ctx):
+    print(json.dumps(_oracles(ctx)[0]["oracles"], indent=2, default=_json_default))
+
+
+def _print_smooth(ctx):
+    for name, sweep in _smoothing(ctx)[0]["smoothing_sweep"].items():
+        if isinstance(sweep, str):
+            print(f"{name}: skipped (no frame predictions)")
+            continue
+        for f, lm, cm in zip(sweep["fractions"], sweep["loc_map"], sweep["cls_map"]):
+            print(f"{name} fraction={f}: loc {lm:.4f} cls {cm:.4f}")
+        print(f"{name} best fraction: {sweep['best_fraction']}")
+
+
+def _print_context(ctx):
+    for name, cb in _context_benefit(ctx)[0]["context_benefit"].items():
+        print(f"{name}: mean context benefit {cb['mean_count']:.3f}")
+
+
+def _print_report(ctx):
+    report = _report(ctx)
+    print(f"report written to {ctx.config.out}")
+    for name, ev in report["evaluation"].items():
+        print(f"{name}: classification mAP {ev['classification_map']:.4f}")
+
+
+VIEWS = {"validate": _print_validate, "eval": _print_eval,
+         "boundary": _print_boundary, "agreement": _print_agreement,
+         "errors": _print_errors, "attributes": _print_attributes,
+         "correlate": _print_correlate, "oracles": _print_oracles,
+         "smooth": _print_smooth, "context": _print_context,
+         "report": _print_report}
+
+
 # --- CLI ---
 
 def _add_common(p, train=False):
@@ -621,127 +763,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="actdiag",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in ("validate", "eval", "boundary", "agreement", "errors",
-                "attributes", "correlate", "oracles", "smooth", "context",
-                "report"):
+    for cmd in VIEWS:
         p = sub.add_parser(cmd)
         _add_common(p, train=cmd in ("attributes", "oracles", "context",
                                      "report", "correlate"))
         if cmd == "report":
             p.add_argument("--bootstrap", type=int, default=10000)
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
-
-    with open(config.vocab) as f:
-        vocab = load_vocabulary(f)
-    with open(config.test) as f:
-        test_ann = load_annotations(f, vocab)
-
-    if args.command == "report":
-        report = run_report(config)
-        print(f"report written to {config.out}")
-        for name, ev in report["evaluation"].items():
-            print(f"{name}: classification mAP {ev['classification_map']:.4f}")
-        return 0
-
-    methods = _load_methods(config, vocab)
-    s = config.samples_per_video
-    if args.command == "validate":
-        aux = None
-        if config.aux:
-            with open(config.aux) as f:
-                aux = load_auxiliary(f)
-        rep = validate_corpus(test_ann, {n: m["video"] for n, m in methods.items()}, aux)
-        for line in rep.findings or ["no findings"]:
-            print(line)
-        if rep.auxiliary_coverage is not None:
-            print(f"auxiliary coverage: {rep.auxiliary_coverage:.3f}")
-    elif args.command == "eval":
-        for name, m in methods.items():
-            cls = classification_map(m["video"], test_ann, vocab)
-            print(f"{name}: classification mAP {cls.mean_ap:.4f}")
-            if m["frame"] is not None:
-                loc = localization_map(m["frame"], test_ann, vocab, s)
-                print(f"{name}: localization mAP {loc.mean_ap:.4f}")
-    elif args.command == "boundary":
-        oracle = boundary_mod.perfect_classifier_localization(test_ann, vocab, s)
-        print(f"perfect-classifier localization mAP {oracle.mean_ap:.4f}")
-        for name, m in methods.items():
-            if m["frame"] is None:
-                continue
-            loc = localization_map(m["frame"], test_ann, vocab, s)
-            bex = boundary_mod.boundary_excluded_eval(m["frame"], test_ann, vocab, s)
-            print(f"{name}: localization {loc.mean_ap:.4f} -> "
-                  f"boundary-excluded {bex.mean_ap:.4f}")
-    elif args.command == "agreement":
-        if not config.reannotations:
-            raise SystemExit("agreement requires --reannotations")
-        with open(config.reannotations) as f:
-            reann = load_annotations(f, vocab)
-        _, summary = boundary_mod.agreement(reann, test_ann, seed=config.seed)
-        print(json.dumps(summary, indent=2, default=_json_default))
-    elif args.command == "errors":
-        for name, m in methods.items():
-            if m["frame"] is None:
-                print(f"{name}: skipped (no frame predictions)")
-                continue
-            bd = erroranalysis.classify_top_predictions(m["frame"], test_ann, vocab, s)
-            means = np.nanmean(bd.fractions[bd.mask], axis=0)
-            print(f"{name}: " + " ".join(f"{k}={v:.3f}" for k, v in
-                                         zip(erroranalysis.LABELS, means)))
-    elif args.command == "attributes":
-        train_ann = test_ann
-        if getattr(args, "train", None):
-            with open(args.train) as f:
-                train_ann = load_annotations(f, vocab)
-        aux = None
-        if config.aux:
-            with open(config.aux) as f:
-                aux = load_auxiliary(f)
-        table = attr_mod.category_attributes(vocab, train_ann, aux, seed=config.seed)
-        sys.stdout.write(attr_mod.category_attributes_csv(table))
-    elif args.command == "correlate":
-        train_ann = test_ann
-        if getattr(args, "train", None):
-            with open(args.train) as f:
-                train_ann = load_annotations(f, vocab)
-        aux = None
-        if config.aux:
-            with open(config.aux) as f:
-                aux = load_auxiliary(f)
-        table = attr_mod.category_attributes(vocab, train_ann, aux, seed=config.seed)
-        for name, m in methods.items():
-            cls = classification_map(m["video"], test_ann, vocab)
-            for row in _correlate(cls.per_class_ap, cls.class_mask, table,
-                                  vocab, CATEGORY_ATTRS, 10000, config.seed):
-                print(f"{name} {row['attribute']}: rho={row['rho']:.3f} "
-                      f"p={row['p']:.4f} n={row['n']}")
-    elif args.command == "oracles":
-        train_ann = None
-        if getattr(args, "train", None):
-            with open(args.train) as f:
-                train_ann = load_annotations(f, vocab)
-        aux = None
-        if config.aux:
-            with open(config.aux) as f:
-                aux = load_auxiliary(f)
-        csvs = {}
-        sec = _oracle_section(config, vocab, test_ann, train_ann, aux, methods, csvs)
-        print(json.dumps(sec, indent=2, default=_json_default))
-    elif args.command == "smooth":
-        for name, m in methods.items():
-            if m["frame"] is None:
-                print(f"{name}: skipped (no frame predictions)")
-                continue
-            sweep = temporal_mod.smoothing_sweep(m["frame"], test_ann, vocab,
-                                                 DEFAULT_SWEEP, s)
-            for f_, lm, cm in zip(sweep.fractions, sweep.loc_map, sweep.cls_map):
-                print(f"{name} fraction={f_}: loc {lm:.4f} cls {cm:.4f}")
-            print(f"{name} best fraction: {sweep.best_fraction}")
-    elif args.command == "context":
-        for name, m in methods.items():
-            cb = temporal_mod.context_benefit(m["video"], test_ann, vocab)
-            print(f"{name}: mean context benefit {cb.counts.mean():.3f}")
+    VIEWS[args.command](RunContext(_config_from_args(args)))
     return 0
 
 

@@ -16,7 +16,6 @@ class BinnedCurve:
     y_mean: np.ndarray
     y_std: np.ndarray
     n: np.ndarray
-    mode: str
 
     def to_csv(self):
         lines = ["x_center,y_mean,y_std,n"]
@@ -32,44 +31,21 @@ class CorrelationResult:
     n: int
 
 
-def _kmeans_1d_partition(xs, k):
-    """Optimal contiguous k-partition of sorted xs by within-cluster SSE
-    (dynamic program). Returns boundary index list of length k+1."""
-    n = len(xs)
-    pref = np.concatenate([[0.0], np.cumsum(xs)])
-    pref2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
-
-    def sse(i, j):  # xs[i:j]
-        m = j - i
-        s = pref[j] - pref[i]
-        return (pref2[j] - pref2[i]) - s * s / m
-
-    cost = np.full((k + 1, n + 1), np.inf)
-    split = np.zeros((k + 1, n + 1), dtype=int)
-    cost[0, 0] = 0.0
-    for g in range(1, k + 1):
-        for j in range(g, n + 1):
-            best, arg = np.inf, g - 1
-            for i in range(g - 1, j):
-                c = cost[g - 1, i] + sse(i, j)
-                if c < best:
-                    best, arg = c, i
-            cost[g, j] = best
-            split[g, j] = arg
-    bounds = [n]
-    j = n
-    for g in range(k, 0, -1):
-        j = split[g, j]
-        bounds.append(j)
-    return bounds[::-1]
+def equal_population_bins(x, k):
+    """Indices of x split into k bins of equal population by x-rank, ties
+    broken by input order; bins are in ascending x and sizes differ by at
+    most one, larger first."""
+    n = len(x)
+    order = np.lexsort((np.arange(n), x))   # stable in input order on ties
+    sizes = np.full(k, n // k)
+    sizes[: n % k] += 1
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    return [order[bounds[b]:bounds[b + 1]] for b in range(k)]
 
 
-def bin_by_attribute(pairs, k=6, mode="quantile"):
-    """Bin (x, y) pairs by x and summarize y per bin.
-
-    quantile: equal-population bins by x-rank (ties broken by input order);
-    kmeans1d: optimal 1-D k-means clustering of x by dynamic programming.
-    """
+def bin_by_attribute(pairs, k=6):
+    """Bin (x, y) pairs by x into k equal_population_bins and summarize y
+    per bin."""
     pairs = [(float(x), float(y)) for x, y in pairs]
     x = np.array([p[0] for p in pairs])
     y = np.array([p[1] for p in pairs])
@@ -78,26 +54,11 @@ def bin_by_attribute(pairs, k=6, mode="quantile"):
         raise ValueError(f"bin count {k} out of range for {n} pairs")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite x attribute")
-    order = np.lexsort((np.arange(n), x))   # stable in input order on ties
-    if mode == "quantile":
-        sizes = np.full(k, n // k)
-        sizes[: n % k] += 1
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-    elif mode == "kmeans1d":
-        bounds = _kmeans_1d_partition(x[order], k)
-    else:
-        raise ValueError(f"unknown binning mode {mode!r}")
-    xc, ym, ys, counts = [], [], [], []
-    for b in range(k):
-        idx = order[bounds[b]:bounds[b + 1]]
-        if len(idx) == 0:
-            continue
-        xc.append(x[idx].mean())
-        ym.append(y[idx].mean())
-        ys.append(y[idx].std())
-        counts.append(len(idx))
-    return BinnedCurve(np.array(xc), np.array(ym), np.array(ys),
-                       np.array(counts), mode)
+    bins = equal_population_bins(x, k)
+    return BinnedCurve(np.array([x[idx].mean() for idx in bins]),
+                       np.array([y[idx].mean() for idx in bins]),
+                       np.array([y[idx].std() for idx in bins]),
+                       np.array([len(idx) for idx in bins]))
 
 
 def pearson_rho(x, y):

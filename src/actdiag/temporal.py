@@ -6,7 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FramePredictions, VideoPredictions
-from .metrics import classification_map, labels_matrix, localization_map
+from .metrics import (aligned_predictions, aligned_scores,
+                      build_localization_items, classification_map,
+                      labels_matrix, per_class_eval, sample_grid)
 
 
 def smooth_predictions(preds, window_fraction, duration):
@@ -62,19 +64,42 @@ def smoothing_sweep(preds, annotations, vocab, fractions=(0, 0.01, 0.02, 0.04, 0
                     samples_per_video=25):
     """Evaluate localization and classification mAP across smoothing window
     fractions; the best fraction is chosen by localization mAP."""
+    items = build_localization_items(
+        preds, sample_grid(annotations, vocab, samples_per_video))
+    return sweep_items(preds, items, labels_matrix(annotations, vocab), fractions,
+                       per_class_eval(items.scores, items.labels),
+                       classification_map(_maxpool_predictions(preds), annotations, vocab))
+
+
+def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):
+    """smoothing_sweep on the localization items of `preds`.
+
+    base_loc and base_cls are the unsmoothed localization and classification
+    results, which fraction 0 reports. Smoothing keeps frame times, so a
+    smoothed video's items are its smoothed frames at the items' frame
+    rows; one video is smoothed at a time."""
     fractions = sorted(set(float(f) for f in fractions) | {0.0})
-    durations = {a.video_id: a.duration for a in annotations}
-    loc_maps, cls_maps, loc_results = [], [], []
+    annotations = items.annotations
+    frames = aligned_predictions(preds, annotations, "frame predictions")
+    rows = items.frame_rows.reshape(len(annotations), -1)
+    scores = np.empty_like(items.scores)
+    per_video = scores.reshape(rows.shape + scores.shape[1:])
+    video_scores = np.empty(video_labels.shape)
+    loc_results, cls_maps = [], []
     for f in fractions:
-        smoothed = [smooth_predictions(p, f, durations[p.video_id])
-                    if p.video_id in durations else p for p in preds]
-        loc = localization_map(smoothed, annotations, vocab, samples_per_video)
-        cls = classification_map(_maxpool_predictions(smoothed), annotations, vocab)
-        loc_maps.append(loc.mean_ap)
-        cls_maps.append(cls.mean_ap)
-        loc_results.append(loc)
+        if f == 0:
+            loc_results.append(base_loc)
+            cls_maps.append(base_cls.mean_ap)
+            continue
+        for v, (ann, fp) in enumerate(zip(annotations, frames)):
+            smoothed = smooth_predictions(fp, f, ann.duration).scores
+            per_video[v] = smoothed[rows[v]]
+            video_scores[v] = smoothed.max(axis=0)
+        loc_results.append(per_class_eval(scores, items.labels))
+        cls_maps.append(per_class_eval(video_scores, video_labels).mean_ap)
+    loc_maps = [r.mean_ap for r in loc_results]
     best_i = int(np.argmax(loc_maps))
-    base = loc_results[0].per_class_ap
+    base = base_loc.per_class_ap
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = (loc_results[best_i].per_class_ap - base) / base
     return SmoothingSweepResult(fractions, loc_maps, cls_maps,
@@ -97,9 +122,12 @@ def context_benefit(preds, annotations, vocab, margin=0.0):
     """For each action a: how many actions b != a whose presence raises a's
     mean video-level score by more than margin. Pairs where either side of
     the presence split is empty are skipped."""
-    by_id = {p.video_id: p for p in preds}
-    scores = np.stack([by_id[a.video_id].scores for a in annotations])
-    labels = labels_matrix(annotations, vocab)
+    return score_context_benefit(aligned_scores(preds, annotations),
+                                 labels_matrix(annotations, vocab), margin)
+
+
+def score_context_benefit(scores, labels, margin=0.0):
+    """context_benefit of a (V, C) score matrix and its (V, C) labels."""
     n_with = labels.sum(axis=0).astype(float)              # (B,)
     n_without = labels.shape[0] - n_with
     sum_with = scores.T @ labels                           # (A, B)

@@ -4,7 +4,6 @@ import pytest
 from actdiag.attributes import (AlignmentError, align_pose,
                                 category_attributes, category_attributes_csv,
                                 complexity_counts,
-                                cross_category_pose_similarity,
                                 pose_variability, poses_by_category,
                                 procrustes_distance, video_attributes,
                                 video_attributes_csv)
@@ -96,18 +95,6 @@ def test_pose_variability_increases_with_noise():
     loose = [square_pose() + np.pad(rng.normal(scale=0.4, size=(4, 2)),
                                     ((0, 0), (0, 1))) for _ in range(6)]
     assert pose_variability(tight) < pose_variability(loose)
-
-
-def test_cross_category_similarity_matrix():
-    a = [square_pose(), square_pose()]
-    tri = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.5, 2.0, 1.0],
-                    [0.5, 1.0, 1.0]])
-    b = [tri, tri.copy()]
-    cats, mat = cross_category_pose_similarity({"c0": a, "c1": b})
-    assert cats == ["c0", "c1"]
-    assert mat[0, 0] == pytest.approx(0.0, abs=1e-12)
-    assert mat[0, 1] == pytest.approx(mat[1, 0])
-    assert mat[0, 1] > 0.0
 
 
 def test_complexity_counts():

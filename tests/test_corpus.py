@@ -161,3 +161,34 @@ def test_canonical_ordering_stable():
     v1 = load_vocabulary(VOCAB)
     v2 = load_vocabulary(VOCAB)
     assert [c.id for c in v1.categories] == [c.id for c in v2.categories]
+
+
+@pytest.mark.parametrize("record", [
+    '{"video_id": "a", "frame_time": "x"}',
+    '{"video_id": "a", "frame_time": NaN}',
+    '{"video_id": "a", "frame_time": 1, "motion": "x"}',
+    '{"video_id": "a", "frame_time": 1, "motion": Infinity}',
+    '{"video_id": "a", "frame_time": 1, "person_box": [0, 0, "w", 20]}',
+    '{"video_id": "a", "frame_time": 1, "person_box": 7}',
+    '{"video_id": "a", "frame_time": 1, "pose": [[1, 2, 1], [3, "y", 1]]}',
+    '{"video_id": "a", "frame_time": 1, "pose": [[1, 2, 1], [3, NaN, 1]]}',
+])
+def test_auxiliary_rejects_non_numeric_or_non_finite_values(record):
+    text = '{"video_id": "a", "frame_time": 0}\n' + record + "\n"
+    with pytest.raises(CorpusError, match="line 2"):
+        load_auxiliary(text)
+
+
+@pytest.mark.parametrize("count", ["1.5", "-1", '"2"', "true"])
+def test_auxiliary_person_count_must_be_non_negative_integer(count):
+    text = f'{{"video_id": "a", "frame_time": 0, "person_count": {count}}}\n'
+    with pytest.raises(CorpusError, match="line 1.*person_count"):
+        load_auxiliary(text)
+
+
+def test_duplicate_video_id_rejected_naming_both_lines():
+    v = load_vocabulary(VOCAB)
+    with pytest.raises(CorpusError, match="line 3.*'VID01'.*line 1"):
+        load_annotations("VID01,30.0,\nVID02,30.0,\nVID01,12.0,\n", v)
+    with pytest.raises(CorpusError, match="line 3.*'VID01'.*line 2"):
+        load_predictions("# scores\nVID01 0 0 0\nVID01 1 1 1\n", v, "video")

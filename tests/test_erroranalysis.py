@@ -4,9 +4,8 @@ import pytest
 from actdiag.corpus import (ActivityInstance, FramePredictions,
                             VideoAnnotation, VideoPredictions,
                             load_vocabulary)
-from actdiag.erroranalysis import (LABELS, ablation_delta,
-                                   classify_top_predictions, confusion_csv,
-                                   cross_confusion)
+from actdiag.erroranalysis import (LABELS, classify_top_predictions,
+                                   confusion_csv, cross_confusion)
 
 VOCAB = load_vocabulary("""class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -110,22 +109,3 @@ def test_confusion_csv_shape():
     assert lines[0] == "class_id,c000,c001,c002,c003"
     assert len(lines) == len(VOCAB) + 1
 
-
-def test_ablation_delta_sign():
-    anns = [ann("V1", 10.0, ("c000", 0.0, 5.0)),
-            ann("V2", 10.0, ("c001", 0.0, 5.0))]
-    good = [VideoPredictions("V1", np.array([0.9, 0.1, 0.0, 0.0])),
-            VideoPredictions("V2", np.array([0.1, 0.9, 0.0, 0.0]))]
-    bad = [VideoPredictions("V1", np.array([0.1, 0.9, 0.0, 0.0])),
-           VideoPredictions("V2", np.array([0.9, 0.1, 0.0, 0.0]))]
-    res = ablation_delta(bad, good, anns, VOCAB)
-    assert res.mean_b > res.mean_a
-    assert all(d > 0 for _, d in res.best)
-
-
-def test_ablation_delta_rejects_video_mismatch():
-    anns = [ann("V1", 10.0, ("c000", 0.0, 5.0))]
-    a = [VideoPredictions("V1", np.zeros(4))]
-    b = [VideoPredictions("V9", np.zeros(4))]
-    with pytest.raises(ValueError):
-        ablation_delta(a, b, anns, VOCAB)

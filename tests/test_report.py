@@ -177,6 +177,18 @@ def test_run_report_small_intent_k_runs(tmp_path):
     assert isinstance(report["oracles"]["single"]["intent2"], float)
 
 
+def test_run_report_names_method_and_missing_video(tmp_path):
+    paths = _write_corpus(tmp_path)
+    lines = open(paths["svm"]).read().splitlines()
+    short = tmp_path / "svm_short.txt"
+    short.write_text("\n".join(x for x in lines if not x.startswith("V3 ")) + "\n")
+    config = _config(tmp_path, paths, out="missing",
+                     predictions={"cnn": paths["cnn"], "svm": str(short)})
+    with pytest.raises(ValueError, match="svm.*V3"):
+        run_report(config)
+    assert not os.path.exists(config.out)
+
+
 def test_config_rejects_missing_files(tmp_path):
     with pytest.raises(FileNotFoundError):
         RunConfig(vocab=str(tmp_path / "nope.csv"), test=str(tmp_path / "nope2"))
@@ -188,14 +200,16 @@ def test_bootstrap_map_ci_matches_generic_bootstrap():
     scores = rng.random((n, 4))
     labels = rng.random((n, 4)) < 0.4
     labels[0] = True
+    no_positive = labels.copy()
+    no_positive[:, 2] = False       # a class no test video has
+    for lab in (labels, no_positive):
+        def stat(idx):
+            w = np.bincount(np.asarray(idx, int), minlength=n)
+            return weighted_classification_map(scores, lab, w)
 
-    def stat(idx):
-        w = np.bincount(np.asarray(idx, int), minlength=n)
-        return weighted_classification_map(scores, labels, w)
-
-    lo_ref, hi_ref, _ = bootstrap_ci(np.arange(n), stat, b=200, seed=5)
-    lo, hi = bootstrap_map_ci(scores, labels, b=200, seed=5)
-    assert lo == lo_ref and hi == hi_ref
+        lo_ref, hi_ref, _ = bootstrap_ci(np.arange(n), stat, b=200, seed=5)
+        lo, hi = bootstrap_map_ci(scores, lab, b=200, seed=5)
+        assert lo == lo_ref and hi == hi_ref
 
 
 def test_bootstrap_map_ci_worker_invariant():
@@ -220,10 +234,17 @@ def test_suggest_rules_trigger():
                                            {"map": 0.2}]},
         "oracles": {"combined": {"temporal+m": 0.5}},
     }
-    rules = {r["rule"]: r["triggered"] for r in suggest(report)}
+    out = suggest(report)
+    rules = {r["rule"]: r["triggered"] for r in out}
     assert rules == {"boundary_sensitivity": True, "object_confusion": True,
                      "temporal_aggregation": True, "person_crop": True,
                      "sequence_modeling": True}
+    # each rule reports exactly the thresholds it compares against
+    assert {r["rule"]: r["thresholds"] for r in out} == {
+        "boundary_sensitivity": {"boundary_gain": 0.01},
+        "object_confusion": {"object_rho": -0.2, "object_p": 0.05},
+        "temporal_aggregation": {}, "person_crop": {},
+        "sequence_modeling": {"temporal_gain": 0.05}}
 
 
 def test_suggest_rules_not_triggered():
@@ -275,3 +296,43 @@ def test_cli_rejects_bad_pred_argument(tmp_path):
     with pytest.raises(SystemExit):
         main(["eval", "--vocab", paths["vocab.csv"], "--test",
               paths["test.csv"], "--pred", "no-equals-sign"])
+
+
+def test_cli_subcommands_print_report_values(tmp_path, capsys):
+    # every subcommand prints what the report computes, formatted alike
+    paths = _write_corpus(tmp_path)
+    common = ["--vocab", paths["vocab.csv"], "--test", paths["test.csv"],
+              "--pred", f"cnn={paths['cnn']}", "--pred", f"svm={paths['svm']}",
+              "--aux", paths["aux"]]
+    train = ["--train", paths["train.csv"]]
+    out = str(tmp_path / "cli_report")
+    assert main(["report", *common, *train, "--bootstrap", "200", "--out", out]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "report.json")) as f:
+        rep = json.load(f)
+
+    def printed(cmd, *extra):
+        assert main([cmd, *common, *extra]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    ev = rep["evaluation"]
+    assert printed("eval") == [
+        f"cnn: classification mAP {ev['cnn']['classification_map']:.4f}",
+        f"cnn: localization mAP {ev['cnn']['localization_map']:.4f}",
+        f"svm: classification mAP {ev['svm']['classification_map']:.4f}"]
+    sweep = rep["smoothing_sweep"]["cnn"]
+    assert printed("smooth") == [
+        f"cnn fraction={f}: loc {lm:.4f} cls {cm:.4f}"
+        for f, lm, cm in zip(sweep["fractions"], sweep["loc_map"], sweep["cls_map"])
+    ] + [f"cnn best fraction: {sweep['best_fraction']}",
+         "svm: skipped (no frame predictions)"]
+    errors = rep["error_breakdown"]["cnn"]
+    assert printed("errors") == [
+        "cnn: " + " ".join(f"{k}={v:.3f}" for k, v in errors.items()),
+        "svm: skipped (no frame predictions)"]
+    correlations = [f"{name} {r['attribute']}: rho={r['rho']:.3f} p={r['p']:.4f} n={r['n']}"
+                    for name, rows in rep["correlations"].items() for r in rows]
+    assert correlations and printed("correlate", *train) == correlations
+    assert printed("context", *train) == [
+        f"{name}: mean context benefit {cb['mean_count']:.3f}"
+        for name, cb in rep["context_benefit"].items()]

@@ -57,36 +57,16 @@ def test_pearson_requires_three():
 
 def test_quantile_bins_equal_population():
     pairs = [(float(i), float(i % 3)) for i in range(24)]
-    curve = bin_by_attribute(pairs, k=6, mode="quantile")
+    curve = bin_by_attribute(pairs, k=6)
     assert list(curve.n) == [4] * 6
     assert all(a < b for a, b in zip(curve.x_center, curve.x_center[1:]))
 
 
 def test_quantile_bins_y_means():
     pairs = [(0, 1.0), (1, 3.0), (10, 5.0), (11, 7.0)]
-    curve = bin_by_attribute(pairs, k=2, mode="quantile")
+    curve = bin_by_attribute(pairs, k=2)
     assert curve.y_mean[0] == pytest.approx(2.0)
     assert curve.y_mean[1] == pytest.approx(6.0)
-
-
-def test_kmeans1d_bins_respect_gaps():
-    xs = [0.0, 0.1, 0.2, 10.0, 10.1, 20.0, 20.2, 20.4]
-    pairs = [(x, 1.0) for x in xs]
-    curve = bin_by_attribute(pairs, k=3, mode="kmeans1d")
-    assert list(curve.n) == [3, 2, 3]
-
-
-def test_kmeans1d_is_optimal_on_small_input():
-    # brute-force optimal 1-D 2-partition over contiguous splits
-    xs = [0.0, 1.0, 1.5, 8.0, 9.0]
-    pairs = [(x, 0.0) for x in xs]
-    curve = bin_by_attribute(pairs, k=2, mode="kmeans1d")
-    assert list(curve.n) == [3, 2]
-
-
-def test_bin_mode_rejected():
-    with pytest.raises(ValueError):
-        bin_by_attribute([(0, 0), (1, 1)], k=2, mode="bogus")
 
 
 def test_bootstrap_ci_deterministic():
