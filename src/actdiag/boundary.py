@@ -166,16 +166,13 @@ def _agreement_summary(records, permutations, seed):
     matched = [r for r in records if r.matched]
     if len(matched) >= 3:
         dur = [r.duration_ref for r in matched]
-        try:
-            c = pearson(dur, [r.iou for r in matched], permutations, seed)
-            summary["rho_iou_vs_duration"] = {"rho": c.rho, "p": c.p_value, "n": c.n}
-        except ValueError:
-            pass
-        try:
-            c = pearson(dur, [r.start_error for r in matched], permutations, seed)
-            summary["rho_start_error_vs_duration"] = {"rho": c.rho, "p": c.p_value, "n": c.n}
-        except ValueError:
-            pass
+        for key, ys in (("rho_iou_vs_duration", [r.iou for r in matched]),
+                        ("rho_start_error_vs_duration", [r.start_error for r in matched])):
+            try:
+                c = pearson(dur, ys, permutations, seed)
+                summary[key] = {"rho": c.rho, "p": c.p_value, "n": c.n}
+            except ValueError:
+                pass
     return summary
 
 

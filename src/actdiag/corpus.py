@@ -245,48 +245,40 @@ def load_predictions(text, vocab, mode):
     """
     if mode not in ("video", "frame"):
         raise ValueError(f"mode must be 'video' or 'frame', got {mode!r}")
-    c = len(vocab)
+    c, first = len(vocab), 1 if mode == "video" else 2   # first score column
     fps = None
-    if mode == "video":
-        out = []
-        seen = {}
-        for ln, line in enumerate(_open(text), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            bits = line.split()
-            if len(bits) != 1 + c:
-                raise CorpusError(f"expected {c} scores, got {len(bits) - 1}", ln)
-            _check_new_video(seen, bits[0], ln)
-            scores = np.array([_parse_float(b, "score", ln) for b in bits[1:]])
-            out.append(VideoPredictions(bits[0], scores))
-        return out
-
-    groups = {}   # video_id -> (times, rows); insertion order preserved
+    seen, out = {}, []
+    groups = {}   # frame mode: video_id -> (times, rows); insertion order preserved
     for ln, line in enumerate(_open(text), start=1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if line.startswith("#fps="):
+            if mode == "frame" and line.startswith("#fps="):
                 fps = _parse_float(line[5:], "fps", ln)
                 if fps <= 0:
                     raise CorpusError(f"non-positive fps {fps}", ln)
             continue
-        if fps is None:
+        if mode == "frame" and fps is None:
             raise CorpusError("frame predictions require a '#fps=R' header line", ln)
         bits = line.split()
-        if len(bits) != 2 + c:
-            raise CorpusError(f"expected {c} scores, got {len(bits) - 2}", ln)
+        if len(bits) != first + c:
+            raise CorpusError(f"expected {c} scores, got {len(bits) - first}", ln)
+        if mode == "video":
+            _check_new_video(seen, bits[0], ln)
+            scores = np.array([_parse_float(b, "score", ln) for b in bits[1:]])
+            out.append(VideoPredictions(bits[0], scores))
+            continue
         idx = _parse_float(bits[1], "frame index", ln)
-        scores = [_parse_float(b, "score", ln) for b in bits[2:]]
+        scores = np.array([_parse_float(b, "score", ln) for b in bits[2:]])
         times, rows = groups.setdefault(bits[0], ([], []))
         if times and idx / fps <= times[-1]:
             raise CorpusError(f"frame index not increasing for {bits[0]}", ln)
         times.append(idx / fps)
         rows.append(scores)
-    return [FramePredictions(vid, np.array(times), np.array(rows))
-            for vid, (times, rows) in groups.items()]
+    return out if mode == "video" else [
+        FramePredictions(vid, np.array(times), np.array(rows))
+        for vid, (times, rows) in groups.items()]
 
 
 def _aux_number(v, what, ln):

@@ -66,8 +66,7 @@ def classify_top_items(items, keep, vocab, top_n=None):
         n = min(n, items.scores.shape[0])
         if n == 0:
             continue
-        order = np.lexsort((np.arange(len(items.times)), -items.scores[:, c]))
-        top = order[:n]
+        top = np.argsort(-items.scores[:, c], kind="stable")[:n]   # ties in item order
         counts = dict.fromkeys(LABELS, 0)
         obj_cols = np.flatnonzero(same_obj[c])
         verb_cols = np.flatnonzero(same_verb[c])

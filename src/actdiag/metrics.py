@@ -11,10 +11,10 @@ with R the recall and F the false-positive rate at a rank. With the
 reference counts equal to the list's actual counts this reduces exactly to
 classical AP.
 
-Tie rule: entries with equal scores are ranked negatives-first
-(positives-last), which makes every evaluation deterministic and
-pessimistic. All-ones or binary score vectors (oracles) are therefore
-scored conservatively.
+Tie rule: entries with equal scores share one rank, so tied positives share
+one precision value and AP does not depend on the order within a tie. An
+all-ones or binary score vector (an oracle) credits every positive in a tie
+at the tie's last rank.
 """
 
 from dataclasses import dataclass
@@ -89,6 +89,39 @@ def _block_ends(sorted_scores):
     return ends[np.searchsorted(ends, np.arange(n))]
 
 
+def _ranked_ap(w, pos, block_end, n_pos, n_neg):
+    """The one AP kernel: normalized AP of a ranked list under each row of
+    w, (b, n) non-negative integer weights in rank order (row r repeats
+    entry i w[r, i] times; row sums below 2**31). pos: (n,) positives in
+    rank order; block_end: _block_ends of the ranked scores; n_pos, n_neg:
+    reference counts, scalars or (b,). Returns (b,) APs and whether each
+    row has positive weight (its AP is meaningless otherwise).
+
+    Integer weights keep the cumulative weights at block ends exact,
+    whatever the order within a tie. Precision is read only at positives,
+    so the (b, n) work is one gather and one integer cumsum. The final sum
+    over positives is pairwise for b == 1 and left to right for b > 1, so
+    a row alone and the same row in a chunk can differ in the last bit."""
+    pos_idx = np.flatnonzero(pos)
+    sel = block_end[pos_idx]                      # block end per positive
+    rank = np.searchsorted(pos_idx, sel, side="right") - 1
+    cw = np.cumsum(w, axis=1, dtype=np.int32)
+    wsel = w[:, pos_idx].astype(float)
+    cwp = np.cumsum(wsel, axis=1)
+    ptot = cwp[:, -1] if pos_idx.size else np.zeros(len(w))
+    ftot = cw[:, -1] - ptot
+    p_div = np.maximum(ptot, 1e-300)
+    cwp_sel = cwp[:, rank]
+    recall = cwp_sel / p_div[:, None]
+    fp_rate = (cw[:, sel] - cwp_sel) / np.maximum(ftot, 1e-300)[:, None]
+    num = recall * np.reshape(n_pos, (-1, 1))
+    den = num + fp_rate * np.reshape(n_neg, (-1, 1))
+    prec = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    ap = (prec * wsel).sum(axis=1) / p_div
+    ap[ftot == 0] = 1.0
+    return ap, ptot > 0
+
+
 def normalized_ap(scores, positives, consts):
     """Normalized AP of one ranked list.
 
@@ -99,22 +132,13 @@ def normalized_ap(scores, positives, consts):
     """
     scores = np.asarray(scores, dtype=float)
     positives = np.asarray(positives, dtype=bool)
-    n_pos = int(positives.sum())
-    if n_pos == 0:
+    if not positives.any():
         raise ValueError("ranked list has no positive entries")
-    n_neg = len(positives) - n_pos
-    order = rank_order(scores, positives)
-    pos_sorted = positives[order]
-    at = _block_ends(scores[order])
-    recall = np.cumsum(pos_sorted)[at] / n_pos
-    if n_neg > 0:
-        fp_rate = np.cumsum(~pos_sorted)[at] / n_neg
-    else:
-        fp_rate = np.zeros(len(positives))
-    num = recall * consts.n_pos
-    den = num + fp_rate * consts.n_neg
-    prec = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return float(prec[pos_sorted].mean())
+    # unit weights: tied positives share one precision, so ties need no order
+    order = np.argsort(-scores)
+    ap, _ = _ranked_ap(np.ones((1, len(order)), dtype=np.int32), positives[order],
+                       _block_ends(scores[order]), consts.n_pos, consts.n_neg)
+    return float(ap[0])
 
 
 def labels_matrix(annotations, vocab):
@@ -261,29 +285,23 @@ def localization_map(preds, annotations, vocab, samples_per_video=25):
 def weighted_ap(scores, positives, weights, consts):
     """Normalized AP of the list where entry i is repeated weights[i] times.
 
-    Exactly equals normalized_ap on the np.repeat-expanded list: tied
-    entries share one rank, so a weighted positive contributes its block's
-    precision weights[i] times.
+    Equals normalized_ap on the np.repeat-expanded list up to summation
+    order: a weighted positive adds its block's precision weights[i] times,
+    summed in rank_order. weights must be non-negative integers summing
+    below 2**31; others raise ValueError, as does no positive weight.
     """
     scores = np.asarray(scores, dtype=float)
     positives = np.asarray(positives, dtype=bool)
     weights = np.asarray(weights, dtype=float)
+    if not (np.all((weights >= 0) & (weights == np.floor(weights)))
+            and weights.sum() < 2 ** 31):
+        raise ValueError("weights must be non-negative integers summing below 2**31")
     order = rank_order(scores, positives)
-    pos = positives[order]
-    w = weights[order]
-    p_tot = float((w * pos).sum())
-    if p_tot == 0:
+    ap, live = _ranked_ap(weights[order].astype(np.int32)[None], positives[order],
+                          _block_ends(scores[order]), consts.n_pos, consts.n_neg)
+    if not live[0]:
         raise ValueError("ranked list has no positive weight")
-    f_tot = float((w * ~pos).sum())
-    if f_tot == 0:
-        return 1.0
-    at = _block_ends(scores[order])
-    recall = np.cumsum(w * pos)[at] / p_tot
-    fp_rate = np.cumsum(w * ~pos)[at] / f_tot
-    num = recall * consts.n_pos
-    den = num + fp_rate * consts.n_neg
-    prec = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return float((prec * w)[pos].sum() / p_tot)
+    return float(ap[0])
 
 
 def weighted_classification_map(scores, labels, weights):
@@ -299,10 +317,8 @@ def weighted_classification_map(scores, labels, weights):
     if n_pos <= 0:
         raise ValueError("resample has no positive labels")
     consts = NormalizationConstants(n_pos, n_neg)
-    aps = []
-    for c in np.flatnonzero(pos_w > 0):
-        aps.append(weighted_ap(scores[:, c], labels[:, c], weights, consts))
-    return float(np.mean(aps))
+    return float(np.mean([weighted_ap(scores[:, c], labels[:, c], weights, consts)
+                          for c in np.flatnonzero(pos_w > 0)]))
 
 
 def eval_result_csv(result, vocab):

@@ -15,6 +15,8 @@ sections compute.
 import argparse
 import json
 import os
+import re
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -190,49 +192,15 @@ class RunContext:
 
 # --- fast bootstrap of classification mAP over videos ---
 
-def _class_ap(args):
-    """AP of one class for every resample; (b,) array plus the live mask.
-
-    Precision is only ever read at the positive positions, so the heavy
-    (b, n) work reduces to one gather and one integer cumsum; everything
-    else runs on (b, n_pos) slices. Weights are integers, so the cumsums
-    are exact and the result is bit-identical to weighted_ap."""
-    weights, order, pos, block_end, npos_all, nneg_all, chunk = args
-    b = weights.shape[0]
-    pos_idx = np.flatnonzero(pos)
-    sel = block_end[pos_idx]                      # block end per positive
-    rank = np.searchsorted(pos_idx, sel, side="right") - 1
-    ap = np.empty(b)
-    live = np.empty(b, dtype=bool)
-    for i in range(0, b, chunk):
-        w = weights[i:i + chunk, order]
-        cw = np.cumsum(w, axis=1, dtype=np.int32)
-        wsel = w[:, pos_idx].astype(float)
-        cwp = np.cumsum(wsel, axis=1)
-        cwp_sel = cwp[:, rank]
-        cw_sel = cw[:, sel].astype(float)
-        ptot = cwp[:, -1]
-        ftot = cw[:, -1].astype(float) - ptot
-        recall = cwp_sel / np.maximum(ptot, 1e-300)[:, None]
-        fp_rate = (cw_sel - cwp_sel) / np.maximum(ftot, 1e-300)[:, None]
-        num = recall * npos_all[i:i + chunk, None]
-        den = num + fp_rate * nneg_all[i:i + chunk, None]
-        prec = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        a = (prec * wsel).sum(axis=1) / np.maximum(ptot, 1e-300)
-        a[ftot == 0] = 1.0
-        ap[i:i + chunk] = a
-        live[i:i + chunk] = ptot > 0
-    return ap, live
-
-
 def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0, workers=1,
                      chunk=500):
     """Percentile bootstrap CI of classification mAP, resampling videos.
 
     Draws the same resamples as stats.bootstrap_ci (one Generator per
     (seed, index)) but evaluates the weighted mAP in a vectorized closed
-    form. Work is split by class and merged in class order, so the output
-    is bit-identical regardless of worker count."""
+    form (metrics._ranked_ap, one call per class and chunk of resamples).
+    Work is split by class and merged in class order, so the output is
+    bit-identical regardless of worker count."""
     n, n_classes = scores.shape
     weights = np.empty((b, n), dtype=np.int32)
     for i in range(b):
@@ -246,16 +214,23 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0, workers=1,
     posw = weights @ labels            # (b, C)
     npos_all = posw.mean(axis=1)
     nneg_all = n - npos_all
-    tasks = []
-    for c in np.flatnonzero(labels.any(axis=0)):   # other classes are never live
-        o = np.lexsort((labels[:, c].astype(np.int8), -scores[:, c]))
-        tasks.append((weights, o, labels[o, c], metrics._block_ends(scores[o, c]),
-                      npos_all, nneg_all, chunk))
+
+    def class_ap(c):
+        """AP of class c under every resample, and where it is live."""
+        o = metrics.rank_order(scores[:, c], labels[:, c])
+        pos, ends = labels[o, c], metrics._block_ends(scores[o, c])
+        chunks = [metrics._ranked_ap(weights[i:i + chunk, o], pos, ends,
+                                     npos_all[i:i + chunk], nneg_all[i:i + chunk])
+                  for i in range(0, b, chunk)]
+        return (np.concatenate([ap for ap, _ in chunks]),
+                np.concatenate([live for _, live in chunks]))
+
+    classes = np.flatnonzero(labels.any(axis=0))   # other classes are never live
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_class_ap, tasks))
+            parts = list(ex.map(class_ap, classes))
     else:
-        parts = [_class_ap(t) for t in tasks]
+        parts = [class_ap(c) for c in classes]
     ap_sum = np.zeros(b)
     ap_cnt = np.zeros(b)
     for ap, live in parts:             # fixed class order keeps sums exact
@@ -543,6 +518,7 @@ def run_report(config):
 
 def _report(ctx):
     c = ctx.config
+    _check_out(c.out)
     report = {"config": {
         "seed": c.seed, "samples_per_video": c.samples_per_video,
         "sweep_fractions": list(c.sweep_fractions),
@@ -611,29 +587,52 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
+# Every name a bundle file can have; a test checks each name a report writes.
+BUNDLE_NAME = re.compile(
+    r"report\.json|summary\.md|oracle_\w+\.preds|(classification|localization|boundary_excluded"
+    r"|errors|confusion|curve|sweep|context)_.+\.csv|(perfect_classifier_localization|agreement"
+    r"|category_attributes|video_attributes|overlap|oracle_eval|suggestions)\.csv")
+
+
+def _check_out(out_dir):
+    """Refuse an out_dir that is neither absent, empty nor an earlier bundle
+    (report.json and otherwise only regular files with bundle names), so no
+    file of the user's, such as an input beside a mistaken '.', is replaced."""
+    if not os.path.exists(out_dir):
+        return
+    if os.path.isdir(out_dir):
+        with os.scandir(out_dir) as it:
+            entries = list(it)
+        if not entries or any(e.name == "report.json" for e in entries) and all(
+                BUNDLE_NAME.fullmatch(e.name) and e.is_file(follow_symlinks=False)
+                for e in entries):
+            return
+    raise FileExistsError(f"{out_dir} is not a report bundle; refusing to replace it")
+
+
 def _write_bundle(out_dir, report, csvs):
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    """Write the bundle into a new directory beside out_dir, then swap it
+    into place (a symlinked out_dir keeps pointing at it), so no file of an
+    earlier bundle survives. A failed write removes the new directory and
+    leaves out_dir as it was."""
+    out = os.path.realpath(out_dir)
+    tmp, old = f"{out}.tmp-{os.getpid()}", f"{out}.old-{os.getpid()}"
+    os.makedirs(tmp)
     try:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as f:
-            json.dump(report, f, indent=2, default=_json_default)
-            f.write("\n")
-        written.append(path)
-        path = os.path.join(out_dir, "summary.md")
-        with open(path, "w") as f:
-            f.write(_render_summary(report))
-        written.append(path)
-        for name, text in csvs.items():
-            path = os.path.join(out_dir, name)
-            with open(path, "w") as f:
+        files = {"report.json": json.dumps(report, indent=2, default=_json_default) + "\n",
+                 "summary.md": _render_summary(report), **csvs}
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w") as f:
                 f.write(text)
-            written.append(path)
+        if os.path.exists(out):
+            os.rename(out, old)
+        os.rename(tmp, out)
     except BaseException:
-        for p in written:
-            if os.path.exists(p):
-                os.remove(p)
+        if os.path.exists(old) and not os.path.exists(out):
+            os.rename(old, out)
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 # --- CLI subcommands: each prints what the context or a section computed ---
@@ -739,13 +738,9 @@ def _add_common(p, train=False):
 
 
 def _parse_preds(pairs):
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"--pred expects NAME=PATH, got {pair!r}")
-        name, path = pair.split("=", 1)
-        out[name] = path
-    return out
+    if bad := [pair for pair in pairs if "=" not in pair]:
+        raise SystemExit(f"--pred expects NAME=PATH, got {bad[0]!r}")
+    return dict(pair.split("=", 1) for pair in pairs)
 
 
 def _config_from_args(args):

@@ -101,7 +101,7 @@ def bootstrap_ci(units, statistic, b=1000, level=0.95, seed=0, max_retries=5):
     """Percentile bootstrap interval for a statistic over exchangeable units.
 
     units: sequence (indexed arbitrarily); statistic receives a resampled
-    list of units. A resample on which the statistic raises is redrawn up
+    list of units. A resample on which it raises ValueError is redrawn up
     to max_retries times. Returns (low, high, point).
     """
     units = list(units)
@@ -119,7 +119,7 @@ def bootstrap_ci(units, statistic, b=1000, level=0.95, seed=0, max_retries=5):
             try:
                 stats[i] = statistic([units[j] for j in idx])
                 break
-            except Exception:
+            except ValueError:
                 if attempt == max_retries:
                     raise
     alpha = (1 - level) / 2

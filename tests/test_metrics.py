@@ -308,6 +308,25 @@ def test_weighted_ap_matches_expansion():
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_weighted_ap_with_unit_weights_is_normalized_ap():
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        n = int(rng.integers(2, 300))
+        scores = np.round(rng.random(n), 1)       # long tie blocks
+        pos = rng.random(n) < 0.3
+        pos[0] = True
+        k = NormalizationConstants(float(rng.uniform(1, 9)), float(rng.uniform(0, 90)))
+        assert weighted_ap(scores, pos, np.ones(n, dtype=int), k) == \
+            normalized_ap(scores, pos, k)
+
+
+def test_weighted_ap_rejects_non_integer_weights():
+    k = NormalizationConstants(1, 1)
+    for bad in ([1, 0.5, 1], [1, -1, 2], [1, np.nan, 1], [1, np.inf, 1]):
+        with pytest.raises(ValueError, match="integer"):
+            weighted_ap([0.9, 0.5, 0.1], [True, False, True], bad, k)
+
+
 def test_weighted_classification_map_matches_unweighted():
     vocab, anns = _toy_corpus()
     rng = np.random.default_rng(2)

@@ -6,8 +6,8 @@ import pytest
 
 from actdiag.corpus import load_vocabulary
 from actdiag.metrics import weighted_classification_map
-from actdiag.report import (RunConfig, bootstrap_map_ci, main, run_report,
-                            suggest)
+from actdiag.report import (BUNDLE_NAME, RunConfig, bootstrap_map_ci, main,
+                            run_report, suggest)
 from actdiag.stats import bootstrap_ci
 
 VOCAB_TEXT = """class_id,verb_id,object_id,description
@@ -189,6 +189,72 @@ def test_run_report_names_method_and_missing_video(tmp_path):
     assert not os.path.exists(config.out)
 
 
+def test_run_report_rerun_leaves_no_stale_files(tmp_path):
+    paths = _write_corpus(tmp_path)
+    inputs = set(os.listdir(tmp_path))
+    run_report(_config(tmp_path, paths, out="re"))
+    assert (tmp_path / "re" / "classification_svm.csv").exists()
+    run_report(_config(tmp_path, paths, out="re", predictions={"cnn": paths["cnn"]}))
+    assert not list((tmp_path / "re").glob("*_svm.csv"))
+    assert (tmp_path / "re" / "classification_cnn.csv").exists()
+    assert set(os.listdir(tmp_path)) == inputs | {"re"}   # no temporary directory left
+
+
+def test_bundle_names_are_all_recognised(tmp_path):
+    paths = _write_corpus(tmp_path)
+    run_report(_config(tmp_path, paths))
+    assert all(BUNDLE_NAME.fullmatch(n) for n in os.listdir(tmp_path / "diag"))
+
+
+def test_run_report_refuses_an_input_directory_holding_a_report(tmp_path):
+    paths = _write_corpus(tmp_path)
+    run_report(_config(tmp_path, paths))
+    (tmp_path / "report.json").write_bytes((tmp_path / "diag" / "report.json").read_bytes())
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(FileExistsError):
+        run_report(_config(tmp_path, paths, out="."))
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_run_report_refuses_a_bundle_with_a_foreign_file(tmp_path):
+    paths = _write_corpus(tmp_path)
+    run_report(_config(tmp_path, paths))
+    (tmp_path / "diag" / "notes.txt").write_text("x")
+    with pytest.raises(FileExistsError):
+        run_report(_config(tmp_path, paths))
+    assert (tmp_path / "diag" / "notes.txt").read_text() == "x"
+
+
+def test_run_report_failed_swap_restores_the_earlier_bundle(tmp_path, monkeypatch):
+    paths = _write_corpus(tmp_path)
+    run_report(_config(tmp_path, paths))
+    bundle = {n: (tmp_path / "diag" / n).read_bytes() for n in os.listdir(tmp_path / "diag")}
+    inputs = set(os.listdir(tmp_path))
+    rename = os.rename
+
+    def failing_rename(src, dst):
+        if ".tmp-" in str(src):
+            raise OSError("simulated failure")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", failing_rename)
+    with pytest.raises(OSError, match="simulated"):
+        run_report(_config(tmp_path, paths, predictions={"cnn": paths["cnn"]}))
+    assert set(os.listdir(tmp_path)) == inputs
+    assert {n: (tmp_path / "diag" / n).read_bytes()
+            for n in os.listdir(tmp_path / "diag")} == bundle
+
+
+def test_run_report_refuses_a_directory_that_is_not_a_bundle(tmp_path):
+    paths = _write_corpus(tmp_path)
+    keep = tmp_path / "mine"
+    keep.mkdir()
+    (keep / "notes.txt").write_text("x")
+    with pytest.raises(FileExistsError):
+        run_report(_config(tmp_path, paths, out="mine"))
+    assert os.listdir(keep) == ["notes.txt"]
+
+
 def test_config_rejects_missing_files(tmp_path):
     with pytest.raises(FileNotFoundError):
         RunConfig(vocab=str(tmp_path / "nope.csv"), test=str(tmp_path / "nope2"))
@@ -202,14 +268,21 @@ def test_bootstrap_map_ci_matches_generic_bootstrap():
     labels[0] = True
     no_positive = labels.copy()
     no_positive[:, 2] = False       # a class no test video has
-    for lab in (labels, no_positive):
+    tied = np.round(scores, 1)      # tie blocks mixing positives and negatives
+    for sc, lab in ((scores, labels), (scores, no_positive), (tied, labels)):
         def stat(idx):
             w = np.bincount(np.asarray(idx, int), minlength=n)
-            return weighted_classification_map(scores, lab, w)
+            return weighted_classification_map(sc, lab, w)
 
         lo_ref, hi_ref, _ = bootstrap_ci(np.arange(n), stat, b=200, seed=5)
-        lo, hi = bootstrap_map_ci(scores, lab, b=200, seed=5)
-        assert lo == lo_ref and hi == hi_ref
+        lo, hi = bootstrap_map_ci(sc, lab, b=200, seed=5)
+        if sc is tied:
+            # a resample chunk sums its positives in another float order
+            # than one list alone (metrics._ranked_ap); here lo differs by 1 ulp
+            assert lo == pytest.approx(lo_ref, rel=1e-14)
+            assert hi == pytest.approx(hi_ref, rel=1e-14)
+        else:
+            assert lo == lo_ref and hi == hi_ref
 
 
 def test_bootstrap_map_ci_worker_invariant():

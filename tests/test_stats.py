@@ -104,6 +104,20 @@ def test_bootstrap_ci_retries_failing_resamples():
     assert lo > 0.0
 
 
+def test_bootstrap_ci_retries_only_value_errors():
+    calls = []
+
+    def stat(xs):
+        calls.append(len(xs))
+        if len(calls) > 1:
+            raise TypeError("a bug, not a degenerate resample")
+        return float(np.mean(xs))
+
+    with pytest.raises(TypeError):
+        bootstrap_ci([0.0, 1.0, 2.0], stat, b=200, seed=0)
+    assert len(calls) == 2          # the point estimate and one resample
+
+
 def test_bootstrap_ci_input_checks():
     with pytest.raises(ValueError):
         bootstrap_ci([1.0], float, b=200)
