@@ -12,7 +12,7 @@ import numpy as np
 from .metrics import (EvalResult, NormalizationConstants, interval_iou,
                       labels_matrix, normalized_ap, build_localization_items,
                       per_class_eval, sample_grid)
-from .stats import pearson
+from .stats import pearson_many
 
 
 @dataclass(frozen=True)
@@ -166,13 +166,12 @@ def _agreement_summary(records, permutations, seed):
     matched = [r for r in records if r.matched]
     if len(matched) >= 3:
         dur = [r.duration_ref for r in matched]
-        for key, ys in (("rho_iou_vs_duration", [r.iou for r in matched]),
-                        ("rho_start_error_vs_duration", [r.start_error for r in matched])):
-            try:
-                c = pearson(dur, ys, permutations, seed)
+        ys = {"rho_iou_vs_duration": [r.iou for r in matched],
+              "rho_start_error_vs_duration": [r.start_error for r in matched]}
+        tests = pearson_many([(dur, y) for y in ys.values()], permutations, seed)
+        for key, c in zip(ys, tests):
+            if c is not None:
                 summary[key] = {"rho": c.rho, "p": c.p_value, "n": c.n}
-            except ValueError:
-                pass
     return summary
 
 

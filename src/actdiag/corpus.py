@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,14 +271,14 @@ def load_predictions(text, vocab, mode):
             out.append(VideoPredictions(bits[0], scores))
             continue
         idx = _parse_float(bits[1], "frame index", ln)
-        scores = np.array([_parse_float(b, "score", ln) for b in bits[2:]])
-        times, rows = groups.setdefault(bits[0], ([], []))
+        scores = [_parse_float(b, "score", ln) for b in bits[2:]]
+        times, rows = groups.setdefault(bits[0], ([], array("d")))
         if times and idx / fps <= times[-1]:
             raise CorpusError(f"frame index not increasing for {bits[0]}", ln)
         times.append(idx / fps)
-        rows.append(scores)
+        rows.extend(scores)
     return out if mode == "video" else [
-        FramePredictions(vid, np.array(times), np.array(rows))
+        FramePredictions(vid, np.array(times), np.frombuffer(rows).reshape(len(times), c))
         for vid, (times, rows) in groups.items()]
 
 

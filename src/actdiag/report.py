@@ -203,14 +203,14 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0, workers=1,
     bit-identical regardless of worker count."""
     n, n_classes = scores.shape
     weights = np.empty((b, n), dtype=np.int32)
+    has_label = labels.any(axis=1)
     for i in range(b):
         rng = np.random.default_rng((seed, i))
         for _ in range(6):
             idx = rng.integers(0, n, n)
-            w = np.bincount(idx, minlength=n)
-            if (w @ labels).sum() > 0:
+            if has_label[idx].any():
                 break
-        weights[i] = w
+        weights[i] = np.bincount(idx, minlength=n)
     posw = weights @ labels            # (b, C)
     npos_all = posw.mean(axis=1)
     nneg_all = n - npos_all
@@ -373,9 +373,10 @@ def _correlations(ctx):
     attribute, over the classes evaluated."""
     c = ctx.config
     curves, correlations, csvs = {}, {}, {}
+    tests = []   # (method, attribute, pairs), tested together below
     for name, m in ctx.methods.items():
         cls = m.classification
-        rows = correlations[name] = []
+        correlations[name] = []
         for attr in CATEGORY_ATTRS:
             pairs = [(float(v), float(cls.per_class_ap[i]))
                      for i, cat in enumerate(ctx.vocab.categories)
@@ -389,14 +390,14 @@ def _correlations(ctx):
                      "n": int(n)}
                     for x, ym, ys, n in zip(curve.x_center, curve.y_mean,
                                             curve.y_std, curve.n)]
-            if len(pairs) < 3:
-                continue
-            try:
-                r = stats_mod.pearson([x for x, _ in pairs], [y for _, y in pairs],
-                                      c.permutations, c.seed)
-            except ValueError:
-                continue
-            rows.append({"attribute": attr, "rho": r.rho, "p": r.p_value, "n": r.n})
+            tests.append((name, attr, pairs))
+    results = stats_mod.pearson_many(
+        [([x for x, _ in pairs], [y for _, y in pairs]) for _, _, pairs in tests],
+        c.permutations, c.seed)
+    for (name, attr, _), r in zip(tests, results):
+        if r is not None:
+            correlations[name].append(
+                {"attribute": attr, "rho": r.rho, "p": r.p_value, "n": r.n})
     return {"category_curves": curves, "correlations": correlations}, csvs
 
 

@@ -78,23 +78,54 @@ def pearson(x, y, permutations=10000, seed=0):
 
     p = (1 + #{|rho_perm| >= |rho|}) / (1 + permutations).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 3:
         raise ValueError("need equal-length vectors with n >= 3")
-    rho = pearson_rho(x, y)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
-    hits = 0
-    for i in range(permutations):
-        rng = np.random.default_rng((seed, i))
-        perm = rng.permutation(len(y))
-        r = float((xc * yc[perm]).sum() / denom)
-        if abs(r) >= abs(rho) - 1e-12:
-            hits += 1
-    p = (1 + hits) / (1 + permutations)
-    return CorrelationResult(rho, p, len(x))
+    (res,) = pearson_many([(x, y)], permutations, seed)
+    if res is None:
+        raise ValueError("zero variance: correlation undefined")
+    return res
+
+
+PERMUTATION_BLOCK = 128   # permutations per block; larger blocks raise peak RSS
+
+
+def pearson_many(pairs, permutations=10000, seed=0):
+    """pearson for each (x, y) pair, or None where pearson would raise.
+
+    Permutation i of length n is default_rng((seed, i)).permutation(n)
+    whichever pair it serves, so pairs of one length share each draw. The
+    draws fill a (PERMUTATION_BLOCK, n) buffer; each row's r is a row-wise
+    sum, in the same pairwise order as a 1-D sum, so every r and p equals
+    that of one pair tested alone.
+    """
+    out = [None] * len(pairs)
+    groups = {}   # n -> [(pair index, xc, yc, rho, denom)]
+    for k, (x, y) in enumerate(pairs):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if len(x) != len(y) or len(x) < 3:
+            continue
+        try:
+            rho = pearson_rho(x, y)
+        except ValueError:
+            continue
+        xc = x - x.mean()
+        yc = y - y.mean()
+        denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
+        groups.setdefault(len(x), []).append((k, xc, yc, rho, denom))
+    for n, group in groups.items():
+        hits = [0] * len(group)
+        buf = np.empty((PERMUTATION_BLOCK, n), dtype=np.intp)
+        for start in range(0, permutations, PERMUTATION_BLOCK):
+            block = buf[:min(PERMUTATION_BLOCK, permutations - start)]
+            for j in range(len(block)):
+                block[j] = np.random.default_rng((seed, start + j)).permutation(n)
+            for g, (_, xc, yc, rho, denom) in enumerate(group):
+                r = (xc * yc[block]).sum(axis=1) / denom
+                hits[g] += int(np.count_nonzero(np.abs(r) >= abs(rho) - 1e-12))
+        for (k, _, _, rho, _), h in zip(group, hits):
+            out[k] = CorrelationResult(rho, (1 + h) / (1 + permutations), n)
+    return out
 
 
 def bootstrap_ci(units, statistic, b=1000, level=0.95, seed=0, max_retries=5):

@@ -269,7 +269,10 @@ def test_bootstrap_map_ci_matches_generic_bootstrap():
     no_positive = labels.copy()
     no_positive[:, 2] = False       # a class no test video has
     tied = np.round(scores, 1)      # tie blocks mixing positives and negatives
-    for sc, lab in ((scores, labels), (scores, no_positive), (tied, labels)):
+    one_video = np.zeros_like(labels)
+    one_video[7, [0, 3]] = True     # a third of the resamples miss it and are redrawn
+    for sc, lab in ((scores, labels), (scores, no_positive), (tied, labels),
+                    (scores, one_video)):
         def stat(idx):
             w = np.bincount(np.asarray(idx, int), minlength=n)
             return weighted_classification_map(sc, lab, w)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from actdiag.stats import (bin_by_attribute, bootstrap_ci, pearson,
-                           pearson_rho)
+                           pearson_many, pearson_rho)
 
 
 def test_pearson_rho_perfect():
@@ -53,6 +53,49 @@ def test_pearson_independent_high_p():
 def test_pearson_requires_three():
     with pytest.raises(ValueError):
         pearson([1.0, 2.0], [3.0, 4.0])
+
+
+def test_pearson_rejects_unequal_lengths_and_zero_variance():
+    with pytest.raises(ValueError, match="equal-length"):
+        pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="zero variance"):
+        pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+
+
+def _pearson_reference(x, y, permutations, seed):
+    """One pair, one Generator and one 1-D sum per permutation."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    rho = pearson_rho(x, y)
+    xc, yc = x - x.mean(), y - y.mean()
+    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
+    hits = 0
+    for i in range(permutations):
+        perm = np.random.default_rng((seed, i)).permutation(len(y))
+        if abs(float((xc * yc[perm]).sum() / denom)) >= abs(rho) - 1e-12:
+            hits += 1
+    return rho, (1 + hits) / (1 + permutations)
+
+
+def test_pearson_many_matches_one_pair_reference():
+    rng = np.random.default_rng(4)
+    x12 = rng.random(12)
+    x40 = rng.random(40)
+    pairs = [
+        (np.arange(5.0), [1.0, 3.0, 2.0, 5.0, 4.0]),   # n = 5: many tied |r|
+        (x12, x12 + rng.random(12)),
+        (x12, rng.random(12)),                          # same length as the last
+        (x12, np.full(12, 2.0)),                        # zero variance
+        ([1.0, 2.0], [2.0, 1.0]),                       # n < 3
+        (x40, 0.3 * x40 + rng.random(40)),
+    ]
+    got = pearson_many(pairs, permutations=1001, seed=3)   # not a whole block
+    assert got[3] is None and got[4] is None
+    for k in (0, 1, 2, 5):
+        rho, p = _pearson_reference(*pairs[k], permutations=1001, seed=3)
+        assert (got[k].rho, got[k].p_value, got[k].n) == (rho, p, len(pairs[k][0]))
+        one = pearson(*pairs[k], permutations=1001, seed=3)
+        assert (one.rho, one.p_value) == (rho, p)
+    assert len({got[k].p_value for k in (0, 1, 2, 5)}) > 1
 
 
 def test_quantile_bins_equal_population():
