@@ -89,37 +89,49 @@ def _block_ends(sorted_scores):
     return ends[np.searchsorted(ends, np.arange(n))]
 
 
-def _ranked_ap(w, pos, block_end, n_pos, n_neg):
-    """The one AP kernel: normalized AP of a ranked list under each row of
-    w, (b, n) non-negative integer weights in rank order (row r repeats
-    entry i w[r, i] times; row sums below 2**31). pos: (n,) positives in
-    rank order; block_end: _block_ends of the ranked scores; n_pos, n_neg:
-    reference counts, scalars or (b,). Returns (b,) APs and whether each
-    row has positive weight (its AP is meaningless otherwise).
+def _positive_steps(pos, block_end):
+    """Where a ranked list's positives sit: their ranks, each one's block
+    end, and for each the index (among the positives) of the last positive
+    in its block."""
+    ranks = np.flatnonzero(pos)
+    ends = block_end[ranks]
+    return ranks, ends, np.searchsorted(ranks, ends, side="right") - 1
 
-    Integer weights keep the cumulative weights at block ends exact,
-    whatever the order within a tie. Precision is read only at positives,
-    so the (b, n) work is one gather and one integer cumsum. The final sum
-    over positives is pairwise for b == 1 and left to right for b > 1, so
-    a row alone and the same row in a chunk can differ in the last bit."""
-    pos_idx = np.flatnonzero(pos)
-    sel = block_end[pos_idx]                      # block end per positive
-    rank = np.searchsorted(pos_idx, sel, side="right") - 1
-    cw = np.cumsum(w, axis=1, dtype=np.int32)
-    wsel = w[:, pos_idx].astype(float)
-    cwp = np.cumsum(wsel, axis=1)
-    ptot = cwp[:, -1] if pos_idx.size else np.zeros(len(w))
-    ftot = cw[:, -1] - ptot
+
+def _ranked_ap(cw_end, wpos, last, total, n_pos, n_neg):
+    """The one AP arithmetic: normalized AP of ranked lists, from the
+    cumulative weight at each positive's block end.
+
+    Arrays run over the positives, in rank order, along their first axis:
+    (P,) for one list, (P, ...) for a batch of lists, P >= 1. cw_end: the
+    total weight at or above the positive's block end; wpos: the
+    positive's own weight (an integer count; a padding entry of weight 0
+    adds nothing); last: the index of the last positive in the positive's
+    block, flat over the first last.ndim axes. total (each list's total
+    weight), n_pos and n_neg (reference counts) broadcast against the
+    batch axes. Returns the APs and whether each list has positive weight
+    (its AP is meaningless otherwise).
+
+    Weights are integers, so cw_end is exact whatever the order within a
+    tie: normalized_ap and weighted_ap take it from one list's cumsum,
+    report.bootstrap_map_ci from a float32 GEMM (exact below 2**24) for
+    every class and a block of resamples at once. The sum over positives
+    is numpy's pairwise sum for one list and left to right (cumsum) for a
+    batch, so a list's AP does not depend on the batch it is in."""
+    wpos = np.asarray(wpos, dtype=float)
+    cwp = np.cumsum(wpos, axis=0)
+    ptot = cwp[-1]
+    ftot = total - ptot
     p_div = np.maximum(ptot, 1e-300)
-    cwp_sel = cwp[:, rank]
-    recall = cwp_sel / p_div[:, None]
-    fp_rate = (cw[:, sel] - cwp_sel) / np.maximum(ftot, 1e-300)[:, None]
-    num = recall * np.reshape(n_pos, (-1, 1))
-    den = num + fp_rate * np.reshape(n_neg, (-1, 1))
+    cwp_end = cwp.reshape(last.size, -1)[last].reshape(cwp.shape)
+    recall = cwp_end / p_div
+    fp_rate = (cw_end - cwp_end) / np.maximum(ftot, 1e-300)
+    num = recall * n_pos
+    den = num + fp_rate * n_neg
     prec = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    ap = (prec * wsel).sum(axis=1) / p_div
-    ap[ftot == 0] = 1.0
-    return ap, ptot > 0
+    prec *= wpos
+    psum = prec.sum() if prec.ndim == 1 else np.cumsum(prec, axis=0)[-1]
+    return np.where(ftot == 0, 1.0, psum / p_div), ptot > 0
 
 
 def normalized_ap(scores, positives, consts):
@@ -136,9 +148,10 @@ def normalized_ap(scores, positives, consts):
         raise ValueError("ranked list has no positive entries")
     # unit weights: tied positives share one precision, so ties need no order
     order = np.argsort(-scores)
-    ap, _ = _ranked_ap(np.ones((1, len(order)), dtype=np.int32), positives[order],
-                       _block_ends(scores[order]), consts.n_pos, consts.n_neg)
-    return float(ap[0])
+    ranks, ends, last = _positive_steps(positives[order], _block_ends(scores[order]))
+    ap, _ = _ranked_ap(ends + 1, np.ones(len(ranks)), last, len(order),
+                       consts.n_pos, consts.n_neg)
+    return float(ap)
 
 
 def labels_matrix(annotations, vocab):
@@ -280,7 +293,7 @@ def localization_map(preds, annotations, vocab, samples_per_video=25):
     return per_class_eval(items.scores, items.labels)
 
 
-# --- weighted AP (bootstrap fast path) ---
+# --- weighted AP (video multisets) ---
 
 def weighted_ap(scores, positives, weights, consts):
     """Normalized AP of the list where entry i is repeated weights[i] times.
@@ -296,12 +309,14 @@ def weighted_ap(scores, positives, weights, consts):
     if not (np.all((weights >= 0) & (weights == np.floor(weights)))
             and weights.sum() < 2 ** 31):
         raise ValueError("weights must be non-negative integers summing below 2**31")
-    order = rank_order(scores, positives)
-    ap, live = _ranked_ap(weights[order].astype(np.int32)[None], positives[order],
-                          _block_ends(scores[order]), consts.n_pos, consts.n_neg)
-    if not live[0]:
+    if not weights[positives].any():
         raise ValueError("ranked list has no positive weight")
-    return float(ap[0])
+    order = rank_order(scores, positives)
+    w = weights[order]
+    ranks, ends, last = _positive_steps(positives[order], _block_ends(scores[order]))
+    ap, _ = _ranked_ap(np.cumsum(w)[ends], w[ranks], last, w.sum(),
+                       consts.n_pos, consts.n_neg)
+    return float(ap)
 
 
 def weighted_classification_map(scores, labels, weights):

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from actdiag import report as report_mod
 from actdiag.corpus import load_vocabulary
 from actdiag.metrics import weighted_classification_map
 from actdiag.report import (BUNDLE_NAME, RunConfig, bootstrap_map_ci, main,
@@ -280,22 +283,61 @@ def test_bootstrap_map_ci_matches_generic_bootstrap():
         lo_ref, hi_ref, _ = bootstrap_ci(np.arange(n), stat, b=200, seed=5)
         lo, hi = bootstrap_map_ci(sc, lab, b=200, seed=5)
         if sc is tied:
-            # a resample chunk sums its positives in another float order
-            # than one list alone (metrics._ranked_ap); here lo differs by 1 ulp
+            # a resample sums its positives left to right, one list alone
+            # pairwise (metrics._ranked_ap); here lo differs by 1 ulp
             assert lo == pytest.approx(lo_ref, rel=1e-14)
             assert hi == pytest.approx(hi_ref, rel=1e-14)
         else:
             assert lo == lo_ref and hi == hi_ref
 
 
-def test_bootstrap_map_ci_worker_invariant():
+def test_bootstrap_map_ci_block_size_invariant(monkeypatch):
     rng = np.random.default_rng(1)
-    scores = rng.random((25, 3))
-    labels = rng.random((25, 3)) < 0.4
-    labels[0] = True
-    a = bootstrap_map_ci(scores, labels, b=200, seed=2, workers=1, chunk=30)
-    b = bootstrap_map_ci(scores, labels, b=200, seed=2, workers=5, chunk=30)
-    assert a == b
+    scores = np.round(rng.random((40, 12)), 1)      # tie blocks
+    labels = rng.random((40, 12)) < 0.3
+    labels[:, 0] = True             # ftot == 0 in every resample: AP 1
+    labels[:, 5] = False            # never live
+    assert labels.any(axis=0).sum() >= 8
+    b = 449                         # a last block of one row
+    assert b % 7 == b % report_mod.BOOTSTRAP_BLOCK == 1
+    weights = np.stack([np.bincount(np.random.default_rng((2, i)).integers(0, 40, 40),
+                                    minlength=40) for i in range(b)]).astype(np.float32)
+    results = []
+    for block in (1, 7, report_mod.BOOTSTRAP_BLOCK):
+        monkeypatch.setattr(report_mod, "BOOTSTRAP_BLOCK", block)
+        results.append((report_mod._resample_maps(scores, labels, weights).tobytes(),
+                        bootstrap_map_ci(scores, labels, b=b, seed=2)))
+    assert results[0] == results[1] == results[2]
+
+
+def test_bootstrap_map_ci_blas_threads_do_not_change_output():
+    code = ("import numpy as np; from actdiag.report import bootstrap_map_ci; "
+            "rng = np.random.default_rng(3); s = np.round(rng.random((300, 20)), 2); "
+            "l = rng.random((300, 20)) < 0.2; "
+            "print(repr(bootstrap_map_ci(s, l, b=300, level=0.5, seed=4)))")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(report_mod.__file__)))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1] and outs[0].startswith("(")
+
+
+def test_bootstrap_map_ci_raises_when_every_redraw_misses():
+    n = 30
+    scores = np.random.default_rng(0).random((n, 4))
+    labels = np.zeros((n, 4), dtype=bool)
+    labels[7, [0, 3]] = True
+
+    def stat(idx):
+        return weighted_classification_map(scores, labels,
+                                           np.bincount(np.asarray(idx, int), minlength=n))
+
+    with pytest.raises(ValueError, match="no positive labels"):
+        bootstrap_ci(np.arange(n), stat, b=200, seed=1)
+    with pytest.raises(ValueError, match="no positive labels"):
+        bootstrap_map_ci(scores, labels, b=200, seed=1)
 
 
 def test_suggest_rules_trigger():
