@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import frame_labels, grid_times
+
 CONF_THRESHOLD = 0.1
-GRID_STEP = 0.1          # seconds; overlap/motion/frame counting grid
-DEFAULT_MAX_PAIRS = 10000
+MAX_PAIRS = 10000        # pose pairs compared per category, at most
 
 
 class AlignmentError(ValueError):
@@ -69,14 +70,14 @@ def align_pose(pose, reference):
     return (pts / n * c) @ rot
 
 
-def _sample_pairs(n, max_pairs, seed):
+def _sample_pairs(n, seed):
     """All unordered pairs of n items if few enough, else a deterministic
-    uniform sample of max_pairs ordered pairs of distinct items."""
-    if n * (n - 1) // 2 <= max_pairs:
+    uniform sample of MAX_PAIRS ordered pairs of distinct items."""
+    if n * (n - 1) // 2 <= MAX_PAIRS:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng = np.random.default_rng(seed)
     pairs = []
-    while len(pairs) < max_pairs:
+    while len(pairs) < MAX_PAIRS:
         i = int(rng.integers(n))
         j = int(rng.integers(n))
         if i != j:
@@ -84,14 +85,14 @@ def _sample_pairs(n, max_pairs, seed):
     return pairs
 
 
-def pose_variability(poses, max_pairs=DEFAULT_MAX_PAIRS, seed=0):
+def pose_variability(poses, seed=0):
     """Mean pairwise Procrustes distance within a pose set; None when fewer
     than two alignable poses/pairs exist."""
     poses = [np.asarray(p) for p in poses if _confident(p).sum() >= 2]
     if len(poses) < 2:
         return None
     dists = []
-    for i, j in _sample_pairs(len(poses), max_pairs, seed):
+    for i, j in _sample_pairs(len(poses), seed):
         try:
             dists.append(procrustes_distance(poses[i], poses[j]))
         except AlignmentError:
@@ -123,10 +124,6 @@ class VideoAttributes:
     mean_motion: float | None
 
 
-def _grid_times(duration, step=GRID_STEP):
-    return np.arange(step / 2, duration, step)
-
-
 def complexity_counts(vocab):
     """Per category: how many *other* categories share its object / verb."""
     obj = np.bincount(vocab.object_of, minlength=vocab.object_count)
@@ -150,9 +147,7 @@ def poses_by_category(annotations, auxiliary, vocab):
     return out
 
 
-def category_attributes(vocab, train_annotations, auxiliary=None,
-                        grid_step=GRID_STEP, motion_whole_video=False,
-                        max_pairs=DEFAULT_MAX_PAIRS, seed=0):
+def category_attributes(vocab, train_annotations, auxiliary=None, seed=0):
     """Compute the per-category attribute table from the training split."""
     obj_cx, verb_cx = complexity_counts(vocab)
     n = len(vocab)
@@ -169,16 +164,9 @@ def category_attributes(vocab, train_annotations, auxiliary=None,
 
     for ann in train_annotations:
         present = sorted({vocab.index[i.category] for i in ann.instances})
-        if present:
-            times = _grid_times(ann.duration, grid_step)
-            active = np.zeros((len(times), len(present)), dtype=bool)
-            for inst in ann.instances:
-                k = present.index(vocab.index[inst.category])
-                active[:, k] |= (times >= inst.start) & (times <= inst.end)
-            counts = active.sum(axis=1)
-            for k, c in enumerate(present):
-                frames[c] += int(active[:, k].sum())
-                overlap[c] += int((active[:, k] & (counts > 1)).sum())
+        active = frame_labels(ann, vocab, grid_times(ann.duration))[:, present]
+        frames[present] += active.sum(axis=0)
+        overlap[present] += active[active.sum(axis=1) > 1].sum(axis=0)
         for inst in ann.instances:
             c = vocab.index[inst.category]
             examples[c] += 1
@@ -188,14 +176,14 @@ def category_attributes(vocab, train_annotations, auxiliary=None,
                 continue
             for inst in ann.instances:
                 c = vocab.index[inst.category]
-                if motion_whole_video or inst.start <= r.frame_time <= inst.end:
+                if inst.start <= r.frame_time <= inst.end:
                     motion_sum[c] += r.motion
                     motion_cnt[c] += 1
 
     pose_var = {c.id: None for c in vocab.categories}
     if auxiliary:
         for cid, poses in poses_by_category(train_annotations, auxiliary, vocab).items():
-            pose_var[cid] = pose_variability(poses, max_pairs, seed)
+            pose_var[cid] = pose_variability(poses, seed)
 
     table = {}
     for i, cat in enumerate(vocab.categories):

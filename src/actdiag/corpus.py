@@ -7,8 +7,10 @@ File formats:
                    actions is a ``;``-joined list of ``class_id start end``
   predictions      video mode: ``video_id s_1 ... s_C`` (whitespace separated)
                    frame mode: ``video_id frame_index s_1 ... s_C`` preceded by
-                   a ``#fps=R`` header line; times are ``frame_index / R``
-  auxiliary.jsonl  one JSON object per line, see AuxiliaryRecord
+                   exactly one ``#fps=R`` header line; times are
+                   ``frame_index / R``
+  auxiliary.jsonl  one JSON object per line (any other JSON value is an
+                   error), see AuxiliaryRecord
 
 All loaders raise CorpusError with a line number on malformed input; nothing
 is silently dropped. Loaded structures are immutable-by-convention and safe
@@ -242,7 +244,8 @@ def load_predictions(text, vocab, mode):
 
     mode='video' -> list of VideoPredictions;
     mode='frame' -> list of FramePredictions (rows grouped by video id,
-    frame order preserved; requires a ``#fps=R`` header line).
+    frame order preserved; requires exactly one ``#fps=R`` header line,
+    before the first row).
     """
     if mode not in ("video", "frame"):
         raise ValueError(f"mode must be 'video' or 'frame', got {mode!r}")
@@ -256,6 +259,8 @@ def load_predictions(text, vocab, mode):
             continue
         if line.startswith("#"):
             if mode == "frame" and line.startswith("#fps="):
+                if fps is not None:
+                    raise CorpusError("second '#fps=' header line", ln)
                 fps = _parse_float(line[5:], "fps", ln)
                 if fps <= 0:
                     raise CorpusError(f"non-positive fps {fps}", ln)
@@ -308,6 +313,8 @@ def load_auxiliary(text):
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise CorpusError(f"bad JSON: {e}", ln) from None
+        if not isinstance(obj, dict):
+            raise CorpusError(f"record must be a JSON object, got {obj!r}", ln)
         if "video_id" not in obj or "frame_time" not in obj:
             raise CorpusError("record needs video_id and frame_time", ln)
         box = obj.get("person_box")
@@ -364,40 +371,10 @@ def validate_corpus(annotations, predictions, auxiliary=None):
     return report
 
 
-# --- serialization (round-trip partners of the loaders) ---
-
-def dump_vocabulary(vocab):
-    lines = ["class_id,verb_id,object_id,description"]
-    for c in vocab.categories:
-        lines.append(f"{c.id},{c.verb_id},{c.object_id},{c.description}")
-    return "\n".join(lines) + "\n"
-
-
-def dump_annotations(annotations):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for a in annotations:
-        actions = ";".join(f"{i.category} {i.start!r} {i.end!r}" for i in a.instances)
-        row = [a.video_id, repr(a.duration), actions]
-        if a.dataset:
-            row.append(a.dataset)
-        w.writerow(row)
-    return buf.getvalue()
-
+# --- serialization (round-trip partner of the video-mode loader) ---
 
 def dump_video_predictions(preds):
     lines = []
     for p in preds:
         lines.append(p.video_id + " " + " ".join(repr(float(s)) for s in p.scores))
-    return "\n".join(lines) + "\n"
-
-
-def dump_frame_predictions(preds):
-    # written at fps=1 with the frame index equal to the frame time, so the
-    # load/dump round trip is bit-exact
-    lines = ["#fps=1.0"]
-    for p in preds:
-        for t, row in zip(p.frame_times, p.scores):
-            lines.append(f"{p.video_id} {float(t)!r} "
-                         + " ".join(repr(float(s)) for s in row))
     return "\n".join(lines) + "\n"

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import boundary_keep_mask
-from .metrics import (aligned_scores, build_localization_items, labels_matrix,
-                      sample_grid)
+from .metrics import build_localization_items, sample_grid
 
 LABELS = ("tp", "bnd", "obj", "vrb", "oth", "fp")
 
@@ -89,16 +88,11 @@ def classify_top_items(items, keep, vocab, top_n=None):
     return ErrorBreakdown(fractions, used_n, mask)
 
 
-def cross_confusion(preds, annotations, vocab):
-    """(C, C) matrix: entry (A, B) is the mean score assigned to class A
-    over videos containing B but not A; nan where no video qualifies and on
-    the diagonal."""
-    return score_confusion(aligned_scores(preds, annotations),
-                           labels_matrix(annotations, vocab))
-
-
 def score_confusion(scores, labels):
-    """cross_confusion of a (V, C) score matrix and its (V, C) labels."""
+    """(C, C) matrix over a (V, C) score matrix and its (V, C) labels:
+    entry (A, B) is the mean score assigned to class A over videos
+    containing B but not A; nan where no video qualifies and on the
+    diagonal."""
     absent = ~labels                              # (V, C) for the A side
     num = (scores * absent).T @ labels            # (A, B) sums
     den = absent.astype(float).T @ labels         # qualifying video counts

@@ -59,18 +59,6 @@ def interval_iou(a, b):
     return inter / union
 
 
-def normalized_precision(recall, fp_rate, consts):
-    """Precision recomputed from recall and FP rate under reference counts.
-
-    Defined as 0 when recall and fp_rate are both 0.
-    """
-    num = recall * consts.n_pos
-    den = num + fp_rate * consts.n_neg
-    if den == 0:
-        return 0.0
-    return num / den
-
-
 def rank_order(scores, positives):
     """Indices sorting by score descending, equal scores negatives-first."""
     scores = np.asarray(scores, dtype=float)
@@ -219,6 +207,14 @@ def classification_map(preds, annotations, vocab):
 def sample_times(duration, n):
     """n equally spaced sample times (interval midpoints) in [0, duration]."""
     return (np.arange(n) + 0.5) * duration / n
+
+
+GRID_STEP = 0.1   # seconds; the frame-counting grid of attributes and overlap
+
+
+def grid_times(duration):
+    """Times GRID_STEP apart from GRID_STEP / 2 up to, not including, duration."""
+    return np.arange(GRID_STEP / 2, duration, GRID_STEP)
 
 
 @dataclass

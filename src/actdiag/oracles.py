@@ -21,6 +21,8 @@ from .corpus import VideoPredictions
 from .metrics import labels_matrix, sample_times
 
 SMOOTHING = 1.0   # additive count per (condition, class) cell
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-6   # stop once no centroid moves farther
 
 
 def object_oracle(annotations, vocab):
@@ -80,8 +82,7 @@ def _neighbors(ann, vocab, t):
     return prev, nxt
 
 
-def build_temporal_stats(annotations, vocab, samples_per_video=25,
-                         smoothing=SMOOTHING):
+def build_temporal_stats(annotations, vocab, samples_per_video=25):
     """Count (neighbor, active class) co-occurrences over sampled frames of
     the training annotations."""
     n = len(vocab)
@@ -108,7 +109,7 @@ def build_temporal_stats(annotations, vocab, samples_per_video=25,
                 next_totals[nxt] += 1
 
     def smooth(rows):
-        sm = rows + smoothing
+        sm = rows + SMOOTHING
         return sm / sm.sum(axis=-1, keepdims=True)
 
     return TransitionStats(smooth(prior_counts), smooth(prev_counts),
@@ -135,7 +136,7 @@ def temporal_oracle(stats, annotations, vocab, samples_per_video=25):
             for a in annotations]
 
 
-def kmeans(points, k, seed=0, max_iter=300, tol=1e-6):
+def kmeans(points, k, seed=0):
     """Lloyd k-means with seeded greedy spreading (k-means++) init.
 
     Returns (centroids, assignments). The objective is checked to be
@@ -158,7 +159,7 @@ def kmeans(points, k, seed=0, max_iter=300, tol=1e-6):
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
     prev_obj = np.inf
     assign = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = dist.argmin(axis=1)
         obj = dist[np.arange(n), assign].sum()
@@ -173,7 +174,7 @@ def kmeans(points, k, seed=0, max_iter=300, tol=1e-6):
                 new = members.mean(axis=0)
             moved = max(moved, float(np.linalg.norm(new - centroids[j])))
             centroids[j] = new
-        if moved < tol:
+        if moved < KMEANS_TOL:
             break
         prev_obj = obj
     dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -288,22 +289,28 @@ def _mean_reference(poses):
     return np.column_stack([mean_xy, np.ones(len(mean_xy))])
 
 
-def build_pose_clusters(annotations, auxiliary, vocab, k=500, seed=0,
-                        samples_per_video=25, smoothing=SMOOTHING):
+def posed_frames(annotations, auxiliary):
+    """(annotation, frame time, pose) of each auxiliary record of an
+    annotated video whose pose has at least two confident keypoints: the
+    frames build_pose_clusters clusters, which needs at least k of them."""
+    by_vid = {a.video_id: a for a in annotations}
+    out = []
+    for r in auxiliary:
+        if r.video_id in by_vid and r.pose is not None:
+            pose = np.asarray(r.pose)
+            if _confident(pose).sum() >= 2:
+                out.append((by_vid[r.video_id], r.frame_time, pose))
+    return out
+
+
+def build_pose_clusters(annotations, auxiliary, vocab, k=500, seed=0):
     """Cluster Procrustes-aligned training poses and record each cluster's
     frame-label distribution."""
-    by_vid = {a.video_id: a for a in annotations}
     poses, frame_labels = [], []
-    for r in auxiliary:
-        ann = by_vid.get(r.video_id)
-        if ann is None or r.pose is None:
-            continue
-        pose = np.asarray(r.pose)
-        if _confident(pose).sum() < 2:
-            continue
+    for ann, t, pose in posed_frames(annotations, auxiliary):
         lab = np.zeros(len(vocab))
         for inst in ann.instances:
-            if inst.start <= r.frame_time <= inst.end:
+            if inst.start <= t <= inst.end:
                 lab[vocab.index[inst.category]] = 1.0
         poses.append(pose)
         frame_labels.append(lab)

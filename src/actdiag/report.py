@@ -199,10 +199,10 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0):
     """Percentile bootstrap CI of classification mAP, resampling videos.
 
     Draws the same resamples as stats.bootstrap_ci (one Generator per
-    (seed, index), up to six draws until one holds a labelled video, else
-    the same ValueError) and takes, per resample, the mAP that
-    metrics.weighted_classification_map gives on its video counts, up to
-    the order of each class's sum over positives.
+    (seed, index), up to 1 + stats.MAX_RETRIES draws until one holds a
+    labelled video, else the same ValueError) and takes, per resample, the
+    mAP that metrics.weighted_classification_map gives on its video counts,
+    up to the order of each class's sum over positives.
 
     GEMM form: the step matrix M (K, n) has one row per positive of every
     class, M[j, v] = 1 where video v ranks at or above positive j's block
@@ -223,7 +223,7 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0):
     has_label = labels.any(axis=1)
     for i in range(b):
         rng = np.random.default_rng((seed, i))
-        for _ in range(6):
+        for _ in range(stats_mod.MAX_RETRIES + 1):
             idx = rng.integers(0, n, n)
             if has_label[idx].any():
                 break
@@ -477,7 +477,7 @@ def _context_benefit(ctx):
     for name, m in ctx.methods.items():
         cb = temporal_mod.score_context_benefit(m.scores, ctx.labels)
         csvs[f"context_{name}.csv"] = cb.to_csv(ctx.vocab)
-        benefit[name] = {"mean_count": float(cb.counts.mean()), "margin": cb.margin}
+        benefit[name] = {"mean_count": float(cb.counts.mean()), "margin": 0.0}
     return {"context_benefit": benefit}, csvs
 
 
@@ -507,10 +507,10 @@ def _oracles(ctx):
                 continue
             clusters = oracle_mod.build_intent_clusters(train, vocab, k, c.seed)
             oracle_preds[f"intent{k}"] = oracle_mod.intent_oracle(clusters, test, vocab)
-        posed = sum(1 for r in ctx.aux or () if r.pose is not None)
-        if ctx.aux is not None and posed >= c.pose_k:
+        if (ctx.aux is not None
+                and len(oracle_mod.posed_frames(train, ctx.aux)) >= c.pose_k):
             pc = oracle_mod.build_pose_clusters(train, ctx.aux, vocab, c.pose_k,
-                                                c.seed, c.samples_per_video)
+                                                c.seed)
             oracle_preds["pose"] = oracle_mod.pose_oracle(pc, test, ctx.aux, vocab)
         else:
             sec["single"]["pose"] = "skipped: not enough posed frames"

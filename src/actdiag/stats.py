@@ -128,12 +128,15 @@ def pearson_many(pairs, permutations=10000, seed=0):
     return out
 
 
-def bootstrap_ci(units, statistic, b=1000, level=0.95, seed=0, max_retries=5):
+MAX_RETRIES = 5   # redraws of a bootstrap resample before its ValueError stands
+
+
+def bootstrap_ci(units, statistic, b=1000, level=0.95, seed=0):
     """Percentile bootstrap interval for a statistic over exchangeable units.
 
     units: sequence (indexed arbitrarily); statistic receives a resampled
     list of units. A resample on which it raises ValueError is redrawn up
-    to max_retries times. Returns (low, high, point).
+    to MAX_RETRIES times. Returns (low, high, point).
     """
     units = list(units)
     n = len(units)
@@ -145,13 +148,13 @@ def bootstrap_ci(units, statistic, b=1000, level=0.95, seed=0, max_retries=5):
     stats = np.empty(b)
     for i in range(b):
         rng = np.random.default_rng((seed, i))
-        for attempt in range(max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             idx = rng.integers(0, n, n)
             try:
                 stats[i] = statistic([units[j] for j in idx])
                 break
             except ValueError:
-                if attempt == max_retries:
+                if attempt == MAX_RETRIES:
                     raise
     alpha = (1 - level) / 2
     low, high = np.quantile(stats, [alpha, 1 - alpha])

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FramePredictions, VideoPredictions
-from .metrics import (aligned_predictions, aligned_scores,
-                      build_localization_items, classification_map,
-                      labels_matrix, per_class_eval, sample_grid)
+from .metrics import (aligned_predictions, frame_labels, grid_times,
+                      per_class_eval)
 
 
 def smooth_predictions(preds, window_fraction, duration):
@@ -47,7 +46,6 @@ class SmoothingSweepResult:
     loc_map: list
     cls_map: list
     best_fraction: float
-    per_class_relative_change: np.ndarray   # at best fraction vs unsmoothed
 
     def to_csv(self):
         lines = ["fraction,loc_map,cls_map"]
@@ -60,24 +58,17 @@ def _maxpool_predictions(frame_preds):
     return [VideoPredictions(p.video_id, p.scores.max(axis=0)) for p in frame_preds]
 
 
-def smoothing_sweep(preds, annotations, vocab, fractions=(0, 0.01, 0.02, 0.04, 0.08, 0.16),
-                    samples_per_video=25):
-    """Evaluate localization and classification mAP across smoothing window
-    fractions; the best fraction is chosen by localization mAP."""
-    items = build_localization_items(
-        preds, sample_grid(annotations, vocab, samples_per_video))
-    return sweep_items(preds, items, labels_matrix(annotations, vocab), fractions,
-                       per_class_eval(items.scores, items.labels),
-                       classification_map(_maxpool_predictions(preds), annotations, vocab))
-
-
 def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):
-    """smoothing_sweep on the localization items of `preds`.
+    """Evaluate localization and classification mAP of the frame
+    predictions `preds` across smoothing window fractions (0 is always
+    included); the best fraction is chosen by localization mAP.
 
-    base_loc and base_cls are the unsmoothed localization and classification
-    results, which fraction 0 reports. Smoothing keeps frame times, so a
-    smoothed video's items are its smoothed frames at the items' frame
-    rows; one video is smoothed at a time."""
+    items are the localization items of `preds` and video_labels the (V, C)
+    labels of their annotations. base_loc and base_cls are the unsmoothed
+    localization and classification results, which fraction 0 reports.
+    Smoothing keeps frame times, so a smoothed video's items are its
+    smoothed frames at the items' frame rows; one video is smoothed at a
+    time."""
     fractions = sorted(set(float(f) for f in fractions) | {0.0})
     annotations = items.annotations
     frames = aligned_predictions(preds, annotations, "frame predictions")
@@ -98,18 +89,13 @@ def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):
         loc_results.append(per_class_eval(scores, items.labels))
         cls_maps.append(per_class_eval(video_scores, video_labels).mean_ap)
     loc_maps = [r.mean_ap for r in loc_results]
-    best_i = int(np.argmax(loc_maps))
-    base = base_loc.per_class_ap
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = (loc_results[best_i].per_class_ap - base) / base
     return SmoothingSweepResult(fractions, loc_maps, cls_maps,
-                                fractions[best_i], rel)
+                                fractions[int(np.argmax(loc_maps))])
 
 
 @dataclass
 class ContextBenefit:
     counts: np.ndarray      # (C,) how many other actions raise this one
-    margin: float
 
     def to_csv(self, vocab):
         lines = ["class_id,count"]
@@ -118,16 +104,11 @@ class ContextBenefit:
         return "\n".join(lines) + "\n"
 
 
-def context_benefit(preds, annotations, vocab, margin=0.0):
+def score_context_benefit(scores, labels):
     """For each action a: how many actions b != a whose presence raises a's
-    mean video-level score by more than margin. Pairs where either side of
-    the presence split is empty are skipped."""
-    return score_context_benefit(aligned_scores(preds, annotations),
-                                 labels_matrix(annotations, vocab), margin)
-
-
-def score_context_benefit(scores, labels, margin=0.0):
-    """context_benefit of a (V, C) score matrix and its (V, C) labels."""
+    mean video-level score, over a (V, C) score matrix and its (V, C)
+    labels. Pairs where either side of the presence split is empty are
+    skipped."""
     n_with = labels.sum(axis=0).astype(float)              # (B,)
     n_without = labels.shape[0] - n_with
     sum_with = scores.T @ labels                           # (A, B)
@@ -138,12 +119,12 @@ def score_context_benefit(scores, labels, margin=0.0):
     valid = (n_with > 0) & (n_without > 0)
     gain = np.where(valid[None, :], mean_with - mean_without, -np.inf)
     np.fill_diagonal(gain, -np.inf)
-    return ContextBenefit((gain > margin).sum(axis=1), margin)
+    return ContextBenefit((gain > 0).sum(axis=1))
 
 
-def overlap_stats(annotations, vocab, grid_step=0.1):
-    """(C, C) matrix: fraction of grid frames labeled A that are also
-    labeled B; rows of classes with zero frames are nan."""
+def overlap_stats(annotations, vocab):
+    """(C, C) matrix: fraction of grid frames (metrics.grid_times) labeled
+    A that are also labeled B; rows of classes with zero frames are nan."""
     n = len(vocab)
     frames = np.zeros(n)
     co = np.zeros((n, n))
@@ -151,16 +132,10 @@ def overlap_stats(annotations, vocab, grid_step=0.1):
         present = sorted({vocab.index[i.category] for i in ann.instances})
         if not present:
             continue
-        times = np.arange(grid_step / 2, ann.duration, grid_step)
-        active = np.zeros((len(times), len(present)), dtype=bool)
-        for inst in ann.instances:
-            k = present.index(vocab.index[inst.category])
-            active[:, k] |= (times >= inst.start) & (times <= inst.end)
+        active = frame_labels(ann, vocab, grid_times(ann.duration))[:, present]
         cnt = active.T.astype(float) @ active.astype(float)
-        for ki, ci in enumerate(present):
-            frames[ci] += cnt[ki, ki]
-            for kj, cj in enumerate(present):
-                co[ci, cj] += cnt[ki, kj]
+        frames[present] += np.diag(cnt)
+        co[np.ix_(present, present)] += cnt
     with np.errstate(divide="ignore", invalid="ignore"):
         mat = co / frames[:, None]
     np.fill_diagonal(mat, 0.0)

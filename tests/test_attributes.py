@@ -133,6 +133,27 @@ def test_category_attributes_overlap_rate():
     assert table["c003"].overlap_rate is None
 
 
+def test_category_attributes_frames_match_grid_frame_loop():
+    rng = np.random.default_rng(0)
+    anns = []
+    for v in range(20):
+        duration = float(rng.uniform(3.0, 20.0))
+        insts = [ActivityInstance(f"c00{rng.integers(3)}", *sorted(rng.uniform(0.0, duration, 2)))
+                 for _ in range(rng.integers(0, 5))]   # a class may repeat in a video
+        anns.append(VideoAnnotation(f"V{v}", duration, tuple(insts)))
+    frames, overlap = np.zeros(len(VOCAB), dtype=int), np.zeros(len(VOCAB), dtype=int)
+    for a in anns:
+        for t in np.arange(0.05, a.duration, 0.1):
+            active = {VOCAB.index[i.category] for i in a.instances if i.start <= t <= i.end}
+            for c in active:
+                frames[c] += 1
+                overlap[c] += len(active) > 1
+    table = category_attributes(VOCAB, anns)
+    for c, cat in enumerate(VOCAB.categories):
+        assert table[cat.id].train_frames == frames[c]
+        assert table[cat.id].overlap_rate == (overlap[c] / frames[c] if frames[c] else None)
+
+
 def test_category_attributes_motion_inside_instances():
     aux = [AuxiliaryRecord("V1", 1.0, motion=2.0),
            AuxiliaryRecord("V1", 5.0, motion=8.0)]
@@ -141,9 +162,6 @@ def test_category_attributes_motion_inside_instances():
     assert table["c000"].motion == pytest.approx(2.0)
     # c001 spans [2,6], so only the t=5 record counts
     assert table["c001"].motion == pytest.approx(8.0)
-    whole = category_attributes(VOCAB, _train(), auxiliary=aux,
-                                motion_whole_video=True)
-    assert whole["c000"].motion == pytest.approx(5.0)
 
 
 def test_poses_by_category_assigns_active_instances():

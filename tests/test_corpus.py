@@ -3,8 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from actdiag.corpus import (CorpusError, dump_annotations, dump_frame_predictions,
-                            dump_video_predictions, dump_vocabulary,
+from actdiag.corpus import (CorpusError, dump_video_predictions,
                             load_annotations, load_auxiliary, load_predictions,
                             load_vocabulary, validate_corpus, VideoPredictions)
 
@@ -98,6 +97,14 @@ def test_frame_predictions_require_fps_header():
         load_predictions("VID01 0 0.1 0.2 0.3\n", v, "frame")
 
 
+def test_frame_predictions_reject_second_fps_header():
+    # a second header would silently retime every later row: index 20 at 2.0 s
+    v = load_vocabulary(VOCAB)
+    text = "#fps=1\nVID01 0 0.1 0.2 0.3\n#fps=10\nVID01 20 0.4 0.5 0.6\n"
+    with pytest.raises(CorpusError, match="line 3: second '#fps=' header"):
+        load_predictions(text, v, "frame")
+
+
 def test_frame_predictions_decreasing_index():
     v = load_vocabulary(VOCAB)
     text = "#fps=1\nVID01 1 0.1 0.2 0.3\nVID01 0 0.4 0.5 0.6\n"
@@ -148,13 +155,8 @@ def test_validate_corpus_clean_and_coverage():
 
 def test_round_trip():
     v = load_vocabulary(VOCAB)
-    assert load_vocabulary(dump_vocabulary(v)) == v
-    anns = load_annotations("VID01,30.0,c000 2.0 5.5;c001 4.0 9.0\nVID02,12.5,\n", v)
-    assert load_annotations(dump_annotations(anns), v) == anns
     vp = load_predictions("VID01 0.125 -0.5 3e-7\n", v, "video")
     assert load_predictions(dump_video_predictions(vp), v, "video") == vp
-    fp = load_predictions("#fps=3\nVID01 0 0.1 0.2 0.3\nVID01 2 0.4 0.5 0.6\n", v, "frame")
-    assert load_predictions(dump_frame_predictions(fp), v, "frame") == fp
 
 
 def test_canonical_ordering_stable():
@@ -172,6 +174,8 @@ def test_canonical_ordering_stable():
     '{"video_id": "a", "frame_time": 1, "person_box": 7}',
     '{"video_id": "a", "frame_time": 1, "pose": [[1, 2, 1], [3, "y", 1]]}',
     '{"video_id": "a", "frame_time": 1, "pose": [[1, 2, 1], [3, NaN, 1]]}',
+    '5',
+    'null',
 ])
 def test_auxiliary_rejects_non_numeric_or_non_finite_values(record):
     text = '{"video_id": "a", "frame_time": 0}\n' + record + "\n"

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from actdiag.corpus import (ActivityInstance, FramePredictions,
-                            VideoAnnotation, VideoPredictions,
-                            load_vocabulary)
+                            VideoAnnotation, load_vocabulary)
 from actdiag.erroranalysis import (LABELS, classify_top_predictions,
-                                   confusion_csv, cross_confusion)
+                                   confusion_csv, score_confusion)
+from actdiag.metrics import labels_matrix
 
 VOCAB = load_vocabulary("""class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -88,10 +88,10 @@ def test_cross_confusion_hand():
     anns = [ann("V1", 10.0, ("c001", 0.0, 5.0)),
             ann("V2", 10.0, ("c000", 0.0, 5.0)),
             ann("V3", 10.0, ("c001", 0.0, 5.0), ("c000", 6.0, 8.0))]
-    preds = [VideoPredictions("V1", np.array([0.4, 0.9, 0.1, 0.0])),
-             VideoPredictions("V2", np.array([0.8, 0.2, 0.1, 0.0])),
-             VideoPredictions("V3", np.array([0.7, 0.8, 0.1, 0.0]))]
-    mat = cross_confusion(preds, anns, VOCAB)
+    scores = np.array([[0.4, 0.9, 0.1, 0.0],     # V1
+                       [0.8, 0.2, 0.1, 0.0],     # V2
+                       [0.7, 0.8, 0.1, 0.0]])    # V3
+    mat = score_confusion(scores, labels_matrix(anns, VOCAB))
     # score of c000 on videos with c001 but not c000: just V1 -> 0.4
     assert mat[0, 1] == pytest.approx(0.4)
     # score of c001 on videos with c000 but not c001: just V2 -> 0.2
@@ -103,8 +103,8 @@ def test_cross_confusion_hand():
 
 def test_confusion_csv_shape():
     anns = [ann("V1", 10.0, ("c000", 0.0, 5.0))]
-    preds = [VideoPredictions("V1", np.array([0.5, 0.1, 0.2, 0.3]))]
-    csv = confusion_csv(cross_confusion(preds, anns, VOCAB), VOCAB)
+    scores = np.array([[0.5, 0.1, 0.2, 0.3]])
+    csv = confusion_csv(score_confusion(scores, labels_matrix(anns, VOCAB)), VOCAB)
     lines = csv.splitlines()
     assert lines[0] == "class_id,c000,c001,c002,c003"
     assert len(lines) == len(VOCAB) + 1

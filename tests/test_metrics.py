@@ -5,7 +5,7 @@ from actdiag.corpus import (FramePredictions, VideoPredictions,
                             load_annotations, load_vocabulary)
 from actdiag.metrics import (NormalizationConstants, classification_map,
                              interval_iou, localization_map, normalized_ap,
-                             normalized_precision, rank_order, sample_times,
+                             rank_order, sample_times,
                              weighted_ap, weighted_classification_map)
 
 VOCAB = """class_id,verb_id,object_id,description
@@ -45,25 +45,6 @@ def test_interval_iou_disjoint():
 def test_interval_iou_degenerate():
     with pytest.raises(ValueError):
         interval_iou((1, 1), (0, 2))
-
-
-def test_normalized_precision_perfect():
-    k = NormalizationConstants(10, 90)
-    assert normalized_precision(1.0, 0.0, k) == 1.0
-
-
-def test_normalized_precision_chance():
-    k = NormalizationConstants(100, 900)
-    assert normalized_precision(0.3, 0.3, k) == pytest.approx(0.1)
-
-
-def test_normalized_precision_hand():
-    k = NormalizationConstants(100, 900)
-    assert normalized_precision(0.5, 0.1, k) == pytest.approx(50 / 140)
-
-
-def test_normalized_precision_degenerate_zero():
-    assert normalized_precision(0.0, 0.0, NormalizationConstants(1, 1)) == 0.0
 
 
 def test_normalized_ap_positive_first():

@@ -174,6 +174,20 @@ def test_run_report_skips_undersized_clustering(tmp_path):
     assert single["pose"].startswith("skipped")
 
 
+def test_run_report_skips_pose_oracle_on_few_posed_training_frames(tmp_path):
+    # 12 posed test frames but one posed training frame: only training
+    # frames can be clustered, so k=5 must skip rather than abort the run
+    paths = _write_corpus(tmp_path)
+    pose = [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    aux = [{"video_id": f"V{i}", "frame_time": 3.0, "pose": pose} for i in range(6)]
+    aux += [{"video_id": f"V{i}", "frame_time": 6.0, "pose": pose} for i in range(6)]
+    aux.append({"video_id": "T0", "frame_time": 2.0, "pose": pose})
+    p = tmp_path / "posed.jsonl"
+    p.write_text("".join(json.dumps(r) + "\n" for r in aux))
+    report = run_report(_config(tmp_path, paths, out="pk", aux=str(p), pose_k=5))
+    assert report["oracles"]["single"]["pose"] == "skipped: not enough posed frames"
+
+
 def test_run_report_small_intent_k_runs(tmp_path):
     paths = _write_corpus(tmp_path)
     report = run_report(_config(tmp_path, paths, out="ik", intent_ks=(2,)))

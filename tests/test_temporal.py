@@ -3,8 +3,10 @@ import pytest
 
 from actdiag.corpus import (ActivityInstance, FramePredictions,
                             VideoAnnotation, load_vocabulary)
-from actdiag.temporal import (context_benefit, overlap_stats,
-                              smooth_predictions, smoothing_sweep)
+from actdiag.metrics import (build_localization_items, labels_matrix,
+                             per_class_eval, sample_grid)
+from actdiag.temporal import (overlap_stats, score_context_benefit,
+                              smooth_predictions, sweep_items)
 
 VOCAB = load_vocabulary("""class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -80,7 +82,11 @@ def test_smoothing_sweep_includes_zero_and_picks_best():
     noisy = np.clip(clean[:, None] + rng.normal(scale=0.8, size=(50, 3)), 0, None)
     noisy[:, 1:] = rng.random((50, 2)) * 0.1
     preds = [FramePredictions("V1", times, noisy)]
-    res = smoothing_sweep(preds, anns, VOCAB, fractions=(0.04, 0.16))
+    items = build_localization_items(preds, sample_grid(anns, VOCAB))
+    labels = labels_matrix(anns, VOCAB)
+    res = sweep_items(preds, items, labels, (0.04, 0.16),
+                      per_class_eval(items.scores, items.labels),
+                      per_class_eval(noisy.max(axis=0)[None], labels))
     assert res.fractions[0] == 0.0
     assert len(res.loc_map) == len(res.fractions) == 3
     assert res.best_fraction in res.fractions
@@ -98,7 +104,11 @@ def test_smoothing_helps_noisy_long_instances():
     scores = np.zeros((100, 3))
     scores[:, 0] = signal + rng.random(100)
     preds = [FramePredictions("V1", times, scores)]
-    res = smoothing_sweep(preds, anns, VOCAB, fractions=(0.08, 0.16, 0.32))
+    items = build_localization_items(preds, sample_grid(anns, VOCAB))
+    labels = labels_matrix(anns, VOCAB)
+    res = sweep_items(preds, items, labels, (0.08, 0.16, 0.32),
+                      per_class_eval(items.scores, items.labels),
+                      per_class_eval(scores.max(axis=0)[None], labels))
     assert res.best_fraction > 0
 
 
@@ -106,12 +116,11 @@ def test_context_benefit_hand():
     anns = [ann("V1", 10.0, ("c000", 0.0, 5.0), ("c001", 0.0, 5.0)),
             ann("V2", 10.0, ("c000", 0.0, 5.0)),
             ann("V3", 10.0, ("c002", 0.0, 5.0))]
-    from actdiag.corpus import VideoPredictions
     # c000's score is 0.9 when c001 present, 0.2 otherwise
-    preds = [VideoPredictions("V1", np.array([0.9, 0.5, 0.1])),
-             VideoPredictions("V2", np.array([0.2, 0.5, 0.1])),
-             VideoPredictions("V3", np.array([0.2, 0.5, 0.1]))]
-    res = context_benefit(preds, anns, VOCAB)
+    scores = np.array([[0.9, 0.5, 0.1],     # V1
+                       [0.2, 0.5, 0.1],     # V2
+                       [0.2, 0.5, 0.1]])    # V3
+    res = score_context_benefit(scores, labels_matrix(anns, VOCAB))
     assert res.counts[0] == 1          # only c001 raises c000
     assert res.counts[1] == 0          # c001's score is flat everywhere
     csv = res.to_csv(VOCAB)
@@ -123,10 +132,9 @@ def test_context_benefit_skips_empty_splits():
     # count toward any class
     anns = [ann("V1", 10.0, ("c000", 0.0, 5.0)),
             ann("V2", 10.0, ("c000", 0.0, 5.0))]
-    from actdiag.corpus import VideoPredictions
-    preds = [VideoPredictions("V1", np.array([0.9, 0.8, 0.1])),
-             VideoPredictions("V2", np.array([0.2, 0.1, 0.1]))]
-    res = context_benefit(preds, anns, VOCAB)
+    scores = np.array([[0.9, 0.8, 0.1],     # V1
+                       [0.2, 0.1, 0.1]])    # V2
+    res = score_context_benefit(scores, labels_matrix(anns, VOCAB))
     assert res.counts.sum() == 0
 
 
@@ -144,3 +152,27 @@ def test_overlap_stats_nested_classes():
     assert mat[1, 0] == pytest.approx(1.0)            # all of c001 under c000
     assert 0.2 < mat[0, 1] < 0.3                      # about a quarter of c000
     assert mat[0, 0] == 0.0                           # diagonal zeroed
+
+
+def test_overlap_stats_matches_grid_frame_loop():
+    rng = np.random.default_rng(0)
+    anns = []
+    for v in range(20):
+        duration = float(rng.uniform(3.0, 20.0))
+        insts = [(f"c00{rng.integers(3)}", *sorted(rng.uniform(0.0, duration, 2)))
+                 for _ in range(rng.integers(0, 5))]   # a class may repeat in a video
+        anns.append(ann(f"V{v}", duration, *insts))
+    frames = np.zeros(len(VOCAB))
+    co = np.zeros((len(VOCAB), len(VOCAB)))
+    for a in anns:
+        for t in np.arange(0.05, a.duration, 0.1):
+            active = {VOCAB.index[i.category] for i in a.instances if i.start <= t <= i.end}
+            for x in active:
+                frames[x] += 1
+                for y in active:
+                    co[x, y] += 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = co / frames[:, None]
+    np.fill_diagonal(want, 0.0)
+    want[frames == 0] = np.nan
+    np.testing.assert_array_equal(overlap_stats(anns, VOCAB), want)
