@@ -8,7 +8,8 @@ File formats:
   predictions      video mode: ``video_id s_1 ... s_C`` (whitespace separated)
                    frame mode: ``video_id frame_index s_1 ... s_C`` preceded by
                    exactly one ``#fps=R`` header line; times are
-                   ``frame_index / R``
+                   ``frame_index / R``, frame_index >= 0. Numbers follow
+                   float()'s grammar (``1_0`` is ten) and must be finite
   auxiliary.jsonl  one JSON object per line (any other JSON value is an
                    error), see AuxiliaryRecord
 
@@ -150,10 +151,21 @@ def _open(text):
     return text
 
 
+def _csv_rows(text):
+    """(line number, row) of each CSV row, numbered from 1; a row the csv
+    module cannot read is a CorpusError."""
+    reader = csv.reader(_open(text))
+    ln = 0
+    try:
+        for ln, row in enumerate(reader, start=1):
+            yield ln, row
+    except csv.Error as e:
+        raise CorpusError(f"bad CSV: {e}", ln + 1) from None
+
+
 def load_vocabulary(text):
     """Parse vocabulary.csv into a Vocabulary."""
-    reader = csv.reader(_open(text))
-    rows = list(reader)
+    rows = [row for _, row in _csv_rows(text)]
     if not rows:
         raise CorpusError("empty vocabulary")
     start = 0
@@ -199,10 +211,9 @@ def _check_new_video(seen, video_id, ln):
 
 def load_annotations(text, vocab):
     """Parse annotations.csv into a list of VideoAnnotation."""
-    reader = csv.reader(_open(text))
     out = []
     seen = {}
-    for ln, row in enumerate(reader, start=1):
+    for ln, row in _csv_rows(text):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if ln == 1 and row[0].strip().lower() == "video_id":
@@ -239,6 +250,9 @@ def load_annotations(text, vocab):
     return out
 
 
+CHUNK = 1024   # data lines per np.loadtxt call in load_predictions
+
+
 def load_predictions(text, vocab, mode):
     """Parse a predictions file.
 
@@ -246,45 +260,140 @@ def load_predictions(text, vocab, mode):
     mode='frame' -> list of FramePredictions (rows grouped by video id,
     frame order preserved; requires exactly one ``#fps=R`` header line,
     before the first row).
+
+    Data lines are parsed CHUNK at a time by _PredictionRows; the loop
+    here handles blank, comment and header lines.
     """
     if mode not in ("video", "frame"):
         raise ValueError(f"mode must be 'video' or 'frame', got {mode!r}")
-    c, first = len(vocab), 1 if mode == "video" else 2   # first score column
-    fps = None
-    seen, out = {}, []
-    groups = {}   # frame mode: video_id -> (times, rows); insertion order preserved
+    rows = _PredictionRows(len(vocab), mode)
     for ln, line in enumerate(_open(text), start=1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
             if mode == "frame" and line.startswith("#fps="):
-                if fps is not None:
+                rows.flush()   # an earlier line's error comes first
+                if rows.fps is not None:
                     raise CorpusError("second '#fps=' header line", ln)
-                fps = _parse_float(line[5:], "fps", ln)
-                if fps <= 0:
-                    raise CorpusError(f"non-positive fps {fps}", ln)
+                rows.fps = _parse_float(line[5:], "fps", ln)
+                if rows.fps <= 0:
+                    raise CorpusError(f"non-positive fps {rows.fps}", ln)
             continue
-        if mode == "frame" and fps is None:
+        rows.add(ln, line)
+    rows.flush()
+    return rows.result()
+
+
+class _PredictionRows:
+    """The data lines of one predictions file and what they parse to.
+
+    line() is the only definition of a valid data line and of the
+    CorpusError each invalid one raises. add() collects data lines and
+    flushes every CHUNK of them. flush() parses the pending lines with one
+    np.loadtxt call and keeps the result only where line() would accept
+    every one of them with the same values (_parse_chunk); any other chunk
+    goes through line() one line at a time, from the state at the chunk's
+    start, so the first bad line raises as it would alone.
+
+    np.loadtxt converts a token with the function float() uses and rejects
+    trailing garbage, so a value it accepts is bit-identical to float()'s.
+    What only float() accepts (1_0, non-ASCII digits) goes through line().
+    """
+
+    def __init__(self, c, mode):
+        self.c, self.mode, self.first = c, mode, 1 if mode == "video" else 2
+        self.fps = None
+        self.seen, self.out = {}, []   # video mode: video_id -> line, predictions
+        self.groups = {}               # frame mode: video_id -> (times, rows), array("d")
+        self.pending = []              # (line number, stripped data line)
+
+    def add(self, ln, line):
+        self.pending.append((ln, line))
+        if len(self.pending) == CHUNK:
+            self.flush()
+
+    def flush(self):
+        if self.pending and not self._parse_chunk():
+            for ln, line in self.pending:
+                self.line(ln, line)
+        self.pending.clear()
+
+    def line(self, ln, line):
+        c, first = self.c, self.first
+        if self.mode == "frame" and self.fps is None:
             raise CorpusError("frame predictions require a '#fps=R' header line", ln)
         bits = line.split()
         if len(bits) != first + c:
             raise CorpusError(f"expected {c} scores, got {len(bits) - first}", ln)
-        if mode == "video":
-            _check_new_video(seen, bits[0], ln)
+        if self.mode == "video":
+            _check_new_video(self.seen, bits[0], ln)
             scores = np.array([_parse_float(b, "score", ln) for b in bits[1:]])
-            out.append(VideoPredictions(bits[0], scores))
-            continue
+            self.out.append(VideoPredictions(bits[0], scores))
+            return
         idx = _parse_float(bits[1], "frame index", ln)
+        if idx < 0:
+            raise CorpusError(f"negative frame index {bits[1]!r}", ln)
         scores = [_parse_float(b, "score", ln) for b in bits[2:]]
-        times, rows = groups.setdefault(bits[0], ([], array("d")))
-        if times and idx / fps <= times[-1]:
+        times, rows = self.groups.setdefault(bits[0], (array("d"), array("d")))
+        if times and idx / self.fps <= times[-1]:
             raise CorpusError(f"frame index not increasing for {bits[0]}", ln)
-        times.append(idx / fps)
+        times.append(idx / self.fps)
         rows.extend(scores)
-    return out if mode == "video" else [
-        FramePredictions(vid, np.array(times), np.frombuffer(rows).reshape(len(times), c))
-        for vid, (times, rows) in groups.items()]
+
+    def _parse_chunk(self):
+        """Store the pending lines from one np.loadtxt call and return True,
+        or return False, storing nothing, unless line() would accept them all:
+        the shape is (lines, columns), every value is finite, no video_id
+        repeats (video mode), and frame indices are non-negative and every
+        video's times rise strictly from its last stored time (frame mode)."""
+        if self.mode == "frame" and self.fps is None:
+            return False
+        parts = [line.split(None, 1) for _, line in self.pending]
+        try:
+            rests = [p[1] for p in parts]
+        except IndexError:   # a line with no score
+            return False
+        try:
+            a = np.loadtxt(rests, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            return False
+        if a.shape != (len(rests), self.first - 1 + self.c) or not np.isfinite(a).all():
+            return False
+        ids = [p[0] for p in parts]
+        if self.mode == "video":
+            if len(set(ids)) < len(ids) or not self.seen.keys().isdisjoint(ids):
+                return False
+            for (ln, _), vid, scores in zip(self.pending, ids, a):
+                self.seen[vid] = ln
+                self.out.append(VideoPredictions(vid, scores))
+            return True
+        if (a[:, 0] < 0).any():
+            return False
+        t = a[:, 0] / self.fps
+        # runs [s, e) of consecutive lines of one video
+        starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
+        runs = list(zip(starts, starts[1:] + [len(ids)]))
+        last = {}   # video_id -> its latest time, this chunk's earlier runs included
+        for s, e in runs:
+            stored = self.groups.get(ids[s])
+            prev = last.get(ids[s], stored[0][-1] if stored else -math.inf)
+            if not (prev < t[s] and (t[s:e - 1] < t[s + 1:e]).all()):
+                return False
+            last[ids[s]] = t[e - 1]
+        scores = a[:, 1:]
+        for s, e in runs:
+            times, rows = self.groups.setdefault(ids[s], (array("d"), array("d")))
+            times.frombytes(t[s:e].tobytes())
+            rows.frombytes(scores[s:e].tobytes())
+        return True
+
+    def result(self):
+        if self.mode == "video":
+            return self.out
+        return [FramePredictions(vid, np.frombuffer(times),
+                                 np.frombuffer(rows).reshape(len(times), self.c))
+                for vid, (times, rows) in self.groups.items()]
 
 
 def _aux_number(v, what, ln):
@@ -376,5 +485,5 @@ def validate_corpus(annotations, predictions, auxiliary=None):
 def dump_video_predictions(preds):
     lines = []
     for p in preds:
-        lines.append(p.video_id + " " + " ".join(repr(float(s)) for s in p.scores))
+        lines.append(p.video_id + " " + " ".join(map(repr, p.scores.tolist())))
     return "\n".join(lines) + "\n"

@@ -67,22 +67,15 @@ def rank_order(scores, positives):
     return np.lexsort((positives.astype(np.int8), -scores))
 
 
-def _block_ends(sorted_scores):
-    """For each rank, the last rank holding the same score; 'at or above a
-    rank' then includes every tied entry, so equal scores share one
-    precision value and duplicating a list changes nothing."""
-    n = len(sorted_scores)
-    ends = np.append(np.flatnonzero(sorted_scores[:-1] != sorted_scores[1:]),
-                     n - 1)
-    return ends[np.searchsorted(ends, np.arange(n))]
-
-
-def _positive_steps(pos, block_end):
-    """Where a ranked list's positives sit: their ranks, each one's block
-    end, and for each the index (among the positives) of the last positive
-    in its block."""
+def _positive_steps(pos, sorted_scores):
+    """Where a ranked list's positives sit: their ranks; each one's block
+    end, the last rank holding its score ('at or above a rank' then
+    includes every tied entry, so equal scores share one precision value
+    and duplicating a list changes nothing); and for each the index
+    (among the positives) of the last positive in its block."""
     ranks = np.flatnonzero(pos)
-    ends = block_end[ranks]
+    bounds = np.flatnonzero(sorted_scores[:-1] != sorted_scores[1:])
+    ends = np.append(bounds, len(sorted_scores) - 1)[np.searchsorted(bounds, ranks)]
     return ranks, ends, np.searchsorted(ranks, ends, side="right") - 1
 
 
@@ -136,7 +129,7 @@ def normalized_ap(scores, positives, consts):
         raise ValueError("ranked list has no positive entries")
     # unit weights: tied positives share one precision, so ties need no order
     order = np.argsort(-scores)
-    ranks, ends, last = _positive_steps(positives[order], _block_ends(scores[order]))
+    ranks, ends, last = _positive_steps(positives[order], scores[order])
     ap, _ = _ranked_ap(ends + 1, np.ones(len(ranks)), last, len(order),
                        consts.n_pos, consts.n_neg)
     return float(ap)
@@ -309,7 +302,7 @@ def weighted_ap(scores, positives, weights, consts):
         raise ValueError("ranked list has no positive weight")
     order = rank_order(scores, positives)
     w = weights[order]
-    ranks, ends, last = _positive_steps(positives[order], _block_ends(scores[order]))
+    ranks, ends, last = _positive_steps(positives[order], scores[order])
     ap, _ = _ranked_ap(np.cumsum(w)[ends], w[ranks], last, w.sum(),
                        consts.n_pos, consts.n_neg)
     return float(ap)

@@ -276,9 +276,18 @@ def _pose_vector(pose, reference):
 
 
 def _mean_reference(poses):
-    """One-pass generalized alignment: align everything to the first
-    alignable pose, average, and use the average as the reference."""
-    ref = poses[0]
+    """One-pass generalized alignment: align everything to the first pose
+    that poses can align to (one that aligns to itself: at least two
+    confident keypoints, not all at one point), average, and use the
+    average as the reference. Raises AlignmentError when no pose can."""
+    for ref in poses:
+        try:
+            align_pose(ref, ref)
+        except AlignmentError:
+            continue
+        break
+    else:
+        raise AlignmentError("no pose that the others can align to")
     aligned = []
     for p in poses:
         try:
@@ -305,7 +314,8 @@ def posed_frames(annotations, auxiliary):
 
 def build_pose_clusters(annotations, auxiliary, vocab, k=500, seed=0):
     """Cluster Procrustes-aligned training poses and record each cluster's
-    frame-label distribution."""
+    frame-label distribution. Raises AlignmentError when fewer than k
+    poses align to the mean reference."""
     poses, frame_labels = [], []
     for ann, t, pose in posed_frames(annotations, auxiliary):
         lab = np.zeros(len(vocab))
@@ -324,6 +334,8 @@ def build_pose_clusters(annotations, auxiliary, vocab, k=500, seed=0):
             labs.append(lab)
         except AlignmentError:
             continue
+    if len(vecs) < k:
+        raise AlignmentError(f"only {len(vecs)} posed training frames align for k={k}")
     vecs = np.array(vecs)
     labs = np.array(labs)
     centroids, assign = kmeans(vecs, k, seed)

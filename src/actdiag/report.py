@@ -252,8 +252,7 @@ def _resample_maps(scores, labels, weights):
     start = 0
     for k, c in enumerate(classes):
         o = metrics.rank_order(scores[:, c], labels[:, c])
-        ranks, ends, lst = metrics._positive_steps(labels[o, c],
-                                                   metrics._block_ends(scores[o, c]))
+        ranks, ends, lst = metrics._positive_steps(labels[o, c], scores[o, c])
         rank_of[o] = np.arange(n)
         step[start:start + len(ranks)] = rank_of <= ends[:, None]
         pad = np.minimum(np.arange(width), len(ranks) - 1)   # repeat the last positive
@@ -509,9 +508,13 @@ def _oracles(ctx):
             oracle_preds[f"intent{k}"] = oracle_mod.intent_oracle(clusters, test, vocab)
         if (ctx.aux is not None
                 and len(oracle_mod.posed_frames(train, ctx.aux)) >= c.pose_k):
-            pc = oracle_mod.build_pose_clusters(train, ctx.aux, vocab, c.pose_k,
-                                                c.seed)
-            oracle_preds["pose"] = oracle_mod.pose_oracle(pc, test, ctx.aux, vocab)
+            try:
+                pc = oracle_mod.build_pose_clusters(train, ctx.aux, vocab, c.pose_k,
+                                                    c.seed)
+            except attr_mod.AlignmentError as e:
+                sec["single"]["pose"] = f"skipped: {e}"
+            else:
+                oracle_preds["pose"] = oracle_mod.pose_oracle(pc, test, ctx.aux, vocab)
         else:
             sec["single"]["pose"] = "skipped: not enough posed frames"
     else:

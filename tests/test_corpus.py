@@ -112,6 +112,23 @@ def test_frame_predictions_decreasing_index():
         load_predictions(text, v, "frame")
 
 
+def test_frame_predictions_reject_negative_frame_index():
+    # the parent loaded this row at -1.5 s
+    v = load_vocabulary(VOCAB)
+    text = "#fps=2\nVID01 0 0.1 0.2 0.3\nVID02 -3 0.4 0.5 0.6\n"
+    with pytest.raises(CorpusError, match="line 3: negative frame index '-3'"):
+        load_predictions(text, v, "frame")
+
+
+def test_prediction_numbers_follow_python_float_grammar():
+    # np.loadtxt rejects 1_0; the line loop's float() reads it as ten
+    v = load_vocabulary(VOCAB)
+    preds = load_predictions("#fps=2\nVID01 1_0 1_0 0.5 2\n", v, "frame")
+    assert preds[0].frame_times.tolist() == [5.0]
+    assert preds[0].scores.tolist() == [[10.0, 0.5, 2.0]]
+    assert load_predictions("VID01 1_0 0 0\n", v, "video")[0].scores[0] == 10.0
+
+
 def test_non_finite_score_rejected():
     v = load_vocabulary(VOCAB)
     with pytest.raises(CorpusError, match="non-finite"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from actdiag.attributes import AlignmentError
 from actdiag.corpus import (ActivityInstance, AuxiliaryRecord,
                             VideoAnnotation, VideoPredictions,
                             load_vocabulary)
@@ -207,6 +208,25 @@ def test_pose_oracle_prior_without_poses():
     clusters = build_pose_clusters(anns, aux, VOCAB, k=2, seed=0)
     out = pose_oracle(clusters, [ann("X", 10.0, ("c000", 0.0, 5.0))], [], VOCAB)
     assert np.allclose(out[0].scores, clusters.prior)
+
+
+def test_pose_reference_skips_a_leading_pose_whose_keypoints_coincide():
+    # the first three poses cannot serve as the reference; the parent
+    # aligned to poses[0] only and died with a bare TypeError
+    rng = np.random.default_rng(2)
+    base = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    point = ((0.5, 0.5, 1.0),) * 3
+    anns = [ann(f"T{i}", 10.0, ("c000", 0.0, 10.0)) for i in range(5)]
+    poses = [point] * 3 + [_pose(base, 0.1, rng) for _ in range(2)]
+    aux = [AuxiliaryRecord(f"T{i}", 5.0, pose=p) for i, p in enumerate(poses)]
+    clusters = build_pose_clusters(anns, aux, VOCAB, k=2, seed=0)
+    alone = build_pose_clusters(anns[3:], aux[3:], VOCAB, k=2, seed=0)
+    assert np.array_equal(clusters.reference, alone.reference)
+    assert np.array_equal(clusters.centroids, alone.centroids)
+    with pytest.raises(AlignmentError, match="only 2 posed training frames align"):
+        build_pose_clusters(anns, aux, VOCAB, k=3, seed=0)
+    with pytest.raises(AlignmentError, match="no pose"):
+        build_pose_clusters(anns[:3], aux[:3], VOCAB, k=2, seed=0)
 
 
 def test_build_pose_clusters_requires_enough_frames():

@@ -188,6 +188,19 @@ def test_run_report_skips_pose_oracle_on_few_posed_training_frames(tmp_path):
     assert report["oracles"]["single"]["pose"] == "skipped: not enough posed frames"
 
 
+def test_run_report_skips_pose_oracle_when_no_pose_aligns(tmp_path):
+    # every training pose has its confident keypoints at one point, so no
+    # pose can be the alignment reference: skip, do not abort
+    paths = _write_corpus(tmp_path)
+    point = [[0.5, 0.5, 1.0]] * 3
+    aux = [{"video_id": f"T{i}", "frame_time": 2.0, "pose": point} for i in range(3)]
+    p = tmp_path / "points.jsonl"
+    p.write_text("".join(json.dumps(r) + "\n" for r in aux))
+    report = run_report(_config(tmp_path, paths, out="pa", aux=str(p), pose_k=2))
+    assert report["oracles"]["single"]["pose"] == ("skipped: no pose that the "
+                                                   "others can align to")
+
+
 def test_run_report_small_intent_k_runs(tmp_path):
     paths = _write_corpus(tmp_path)
     report = run_report(_config(tmp_path, paths, out="ik", intent_ks=(2,)))
