@@ -13,8 +13,6 @@ method.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .attributes import AlignmentError, align_pose, _confident
 from .corpus import VideoPredictions
@@ -23,6 +21,7 @@ from .metrics import labels_matrix, sample_times
 SMOOTHING = 1.0   # additive count per (condition, class) cell
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6   # stop once no centroid moves farther
+DIST_BLOCK_BYTES = 1 << 20   # size of one (rows, k, d) difference block
 
 
 def object_oracle(annotations, vocab):
@@ -158,28 +157,45 @@ def kmeans(points, k, seed=0):
         centroids[j] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
     prev_obj = np.inf
-    assign = None
     for _ in range(KMEANS_MAX_ITER):
-        dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dist = _sq_dists(points, centroids)
         assign = dist.argmin(axis=1)
-        obj = dist[np.arange(n), assign].sum()
+        nearest = dist[np.arange(n), assign]
+        obj = nearest.sum()
         assert obj <= prev_obj + 1e-9, "k-means objective increased"
+        # a stable sort keeps each cluster's members in index order, the
+        # rows and order points[assign == j] would give
+        order = np.argsort(assign, kind="stable")
+        members = points[order]
+        bounds = np.searchsorted(assign[order], np.arange(k + 1))
+        far = points[nearest.argmax()]
         moved = 0.0
         for j in range(k):
-            members = points[assign == j]
-            if len(members) == 0:
-                far = dist[np.arange(n), assign].argmax()
-                new = points[far]
-            else:
-                new = members.mean(axis=0)
+            lo, hi = bounds[j], bounds[j + 1]
+            new = members[lo:hi].mean(axis=0) if hi > lo else far
             moved = max(moved, float(np.linalg.norm(new - centroids[j])))
             centroids[j] = new
         if moved < KMEANS_TOL:
             break
         prev_obj = obj
-    dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = dist.argmin(axis=1)
+    assign = _sq_dists(points, centroids).argmin(axis=1)
     return centroids, assign
+
+
+def _sq_dists(points, centroids):
+    """(n, k) squared distances from each point to each centroid. Each
+    entry is ((p - c) ** 2).sum() over the contiguous last axis, as in one
+    (n, k, d) broadcast, but taken a block of rows at a time so that the
+    difference temporary stays near DIST_BLOCK_BYTES."""
+    n, d = points.shape
+    k = len(centroids)
+    rows = max(1, DIST_BLOCK_BYTES // (k * d * points.itemsize))
+    out = np.empty((n, k))
+    for lo in range(0, n, rows):
+        diff = points[lo:lo + rows, None, :] - centroids[None, :, :]
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=out[lo:lo + rows])
+    return out
 
 
 def spectral_cluster(vectors, k, seed=0):
@@ -206,7 +222,10 @@ def spectral_cluster(vectors, k, seed=0):
     deg = affinity.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg)
     norm_aff = affinity * inv_sqrt[:, None] * inv_sqrt[None, :]
-    # k largest eigenvectors of the normalized affinity = k smallest of L
+    # k largest eigenvectors of the normalized affinity = k smallest of L;
+    # scipy is imported here so that only runs which cluster pay for it
+    import scipy.linalg
+    import scipy.sparse.linalg
     if len(idx) > 500:
         _, vecs = scipy.sparse.linalg.eigsh(norm_aff, k=k, which="LA",
                                             v0=np.ones(len(idx)))
@@ -235,12 +254,18 @@ def build_intent_clusters(annotations, vocab, k, seed=0):
     label vectors."""
     labels = labels_matrix(annotations, vocab).astype(float)
     assign, _ = spectral_cluster(labels, k, seed)
-    dists = np.zeros((k + 1, len(vocab)))
-    for j in range(k + 1):
-        members = labels[assign == j]
-        if len(members):
-            dists[j] = members.mean(axis=0)
+    dists = _cluster_means(labels, assign, k + 1)
     return IntentClusters(k, assign, dists, labels.mean(axis=0))
+
+
+def _cluster_means(labels, assign, k):
+    """(k, C) mean of each cluster's 0/1 label rows, zero for an empty
+    cluster. The sums are counts, exact in any order, so each row equals
+    labels[assign == j].mean(axis=0)."""
+    sums = np.zeros((k, labels.shape[1]))
+    np.add.at(sums, assign, labels)
+    counts = np.bincount(assign, minlength=k)
+    return sums / np.maximum(counts, 1)[:, None]
 
 
 def intent_oracle(clusters, annotations, vocab):
@@ -339,35 +364,36 @@ def build_pose_clusters(annotations, auxiliary, vocab, k=500, seed=0):
     vecs = np.array(vecs)
     labs = np.array(labs)
     centroids, assign = kmeans(vecs, k, seed)
-    dists = np.zeros((k, len(vocab)))
-    for j in range(k):
-        members = labs[assign == j]
-        if len(members):
-            dists[j] = members.mean(axis=0)
-    return PoseClusters(centroids, dists, reference, labs.mean(axis=0))
+    return PoseClusters(centroids, _cluster_means(labs, assign, k), reference,
+                        labs.mean(axis=0))
 
 
 def pose_oracle(clusters, annotations, auxiliary, vocab):
     """Per frame, the nearest pose centroid's distribution; video vector is
-    the max over posed frames, the prior when a video has none."""
+    the max over posed frames, the prior when a video has none. All the
+    test frames that align are assigned by one blocked distance call."""
     by_vid = {}
     for r in auxiliary:
         if r.pose is not None:
             by_vid.setdefault(r.video_id, []).append(r)
-    out = []
-    for ann in annotations:
-        frames = []
+    vecs, owner = [], []
+    for i, ann in enumerate(annotations):
         for r in by_vid.get(ann.video_id, ()):
             try:
-                v = _pose_vector(np.asarray(r.pose), clusters.reference)
+                vecs.append(_pose_vector(np.asarray(r.pose), clusters.reference))
             except AlignmentError:
                 continue
-            d2 = ((clusters.centroids - v) ** 2).sum(axis=1)
-            frames.append(clusters.distributions[int(np.argmin(d2))])
-        if frames:
-            out.append(VideoPredictions(ann.video_id, np.max(frames, axis=0)))
-        else:
-            out.append(VideoPredictions(ann.video_id, clusters.prior.copy()))
+            owner.append(i)
+    nearest = np.zeros(0, dtype=int)
+    if vecs:
+        nearest = _sq_dists(np.array(vecs), clusters.centroids).argmin(axis=1)
+    frames = clusters.distributions[nearest]
+    bounds = np.searchsorted(owner, np.arange(len(annotations) + 1))
+    out = []
+    for i, ann in enumerate(annotations):
+        lo, hi = bounds[i], bounds[i + 1]
+        scores = frames[lo:hi].max(axis=0) if hi > lo else clusters.prior.copy()
+        out.append(VideoPredictions(ann.video_id, scores))
     return out
 
 

@@ -73,6 +73,14 @@ class RunConfig:
     workers: int = 1      # accepted for compatibility; changes nothing
 
     def __post_init__(self):
+        counts = {"bootstrap_resamples": self.bootstrap_resamples,
+                  "permutations": self.permutations,
+                  "samples_per_video": self.samples_per_video,
+                  "bins": self.bins, "pose_k": self.pose_k}
+        counts.update((f"intent_ks[{i}]", k) for i, k in enumerate(self.intent_ks))
+        for name, value in counts.items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         for path in [self.vocab, self.test, self.train, self.aux,
                      self.reannotations, *self.predictions.values()]:
             if path is not None and not os.path.exists(path):

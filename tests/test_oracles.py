@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from actdiag import oracles
 from actdiag.attributes import AlignmentError
 from actdiag.corpus import (ActivityInstance, AuxiliaryRecord,
                             VideoAnnotation, VideoPredictions,
                             load_vocabulary)
-from actdiag.metrics import classification_map, sample_times
+from actdiag.metrics import classification_map, labels_matrix, sample_times
 from actdiag.oracles import (apply_temporal_oracle, build_intent_clusters,
                              build_pose_clusters, build_temporal_stats,
                              combine, intent_oracle, kmeans, object_oracle,
@@ -123,6 +129,110 @@ def test_kmeans_k_bounds():
         kmeans(np.zeros((3, 2)), 0)
 
 
+def _loop_kmeans(points, k, seed=0, reseeded=None):
+    """Reference: Lloyd k-means with one full (n, k, d) distance tensor
+    and one boolean mask per cluster. Appends to reseeded each time an
+    empty cluster is re-seeded."""
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total == 0:
+            centroids[j] = points[rng.integers(n)]
+            continue
+        centroids[j] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    for _ in range(oracles.KMEANS_MAX_ITER):
+        dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign = dist.argmin(axis=1)
+        moved = 0.0
+        for j in range(k):
+            members = points[assign == j]
+            if len(members) == 0:
+                if reseeded is not None:
+                    reseeded.append(j)
+                new = points[dist[np.arange(n), assign].argmax()]
+            else:
+                new = members.mean(axis=0)
+            moved = max(moved, float(np.linalg.norm(new - centroids[j])))
+            centroids[j] = new
+        if moved < oracles.KMEANS_TOL:
+            break
+    dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return centroids, dist.argmin(axis=1)
+
+
+def _assert_kmeans_matches_loop(points, k, seed):
+    want_c, want_a = _loop_kmeans(points, k, seed)
+    got_c, got_a = kmeans(points, k, seed)
+    assert np.array_equal(got_c, want_c)
+    assert np.array_equal(got_a, want_a)
+    return got_a
+
+
+def test_kmeans_matches_loop_reference_d1_large_cluster():
+    # numpy sums an (m, 1) column pairwise, unlike the row-by-row sum of
+    # an (m, d >= 2) block; the means must still be the masked means
+    pts = np.random.default_rng(5).normal(size=(300, 1))
+    assign = _assert_kmeans_matches_loop(pts, 3, seed=2)
+    assert np.bincount(assign).max() > 8
+
+
+def test_kmeans_matches_loop_reference_k1_and_kn():
+    pts = np.random.default_rng(6).normal(size=(40, 5))
+    _assert_kmeans_matches_loop(pts, 1, seed=0)
+    _assert_kmeans_matches_loop(pts, 40, seed=1)
+
+
+def test_kmeans_matches_loop_reference_with_empty_clusters():
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(3, 4))[rng.integers(0, 3, 60)]
+    reseeded = []
+    _loop_kmeans(pts, 6, seed=3, reseeded=reseeded)
+    assert reseeded, "the case must exercise the empty-cluster reseed"
+    _assert_kmeans_matches_loop(pts, 6, seed=3)
+
+
+def test_kmeans_matches_loop_reference_rounded_ties():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 7, 26):
+        pts = np.round(rng.normal(size=(150, d)), 1)
+        _assert_kmeans_matches_loop(pts, 12, seed=d)
+
+
+def test_kmeans_matches_loop_reference_across_distance_blocks(monkeypatch):
+    # blocks of one row, of a few rows, and one block for everything
+    pts = np.random.default_rng(9).normal(size=(90, 6))
+    for size in (1, 1000, 1 << 30):
+        monkeypatch.setattr(oracles, "DIST_BLOCK_BYTES", size)
+        _assert_kmeans_matches_loop(pts, 10, seed=4)
+
+
+def test_kmeans_memory_stays_below_the_full_distance_tensor():
+    # the (800, 500, 26) float64 difference tensor alone is 83 MB
+    pts = np.random.default_rng(0).normal(size=(800, 26))
+    tracemalloc.start()
+    try:
+        kmeans(pts, 500, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, f"k-means peaked at {peak / 1e6:.1f} MB"
+
+
+def test_report_import_does_not_load_scipy():
+    code = ("import sys, actdiag.report; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracles.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_spectral_cluster_planted_blocks():
     rng = np.random.default_rng(0)
     base = np.eye(3)
@@ -227,6 +337,118 @@ def test_pose_reference_skips_a_leading_pose_whose_keypoints_coincide():
         build_pose_clusters(anns, aux, VOCAB, k=3, seed=0)
     with pytest.raises(AlignmentError, match="no pose"):
         build_pose_clusters(anns[:3], aux[:3], VOCAB, k=2, seed=0)
+
+
+def _loop_pose_clusters(annotations, auxiliary, vocab, k, seed):
+    """Reference build_pose_clusters: loop k-means and one masked mean per
+    cluster."""
+    poses, frame_labels = [], []
+    for a, t, pose in oracles.posed_frames(annotations, auxiliary):
+        lab = np.zeros(len(vocab))
+        for inst in a.instances:
+            if inst.start <= t <= inst.end:
+                lab[vocab.index[inst.category]] = 1.0
+        poses.append(pose)
+        frame_labels.append(lab)
+    reference = oracles._mean_reference(poses)
+    vecs, labs = [], []
+    for p, lab in zip(poses, frame_labels):
+        try:
+            vecs.append(oracles._pose_vector(p, reference))
+            labs.append(lab)
+        except AlignmentError:
+            continue
+    vecs, labs = np.array(vecs), np.array(labs)
+    centroids, assign = _loop_kmeans(vecs, k, seed)
+    dists = np.zeros((k, len(vocab)))
+    for j in range(k):
+        members = labs[assign == j]
+        if len(members):
+            dists[j] = members.mean(axis=0)
+    return oracles.PoseClusters(centroids, dists, reference, labs.mean(axis=0))
+
+
+def _loop_pose_oracle(clusters, annotations, auxiliary):
+    """Reference pose_oracle: one distance row and argmin per frame."""
+    by_vid = {}
+    for r in auxiliary:
+        if r.pose is not None:
+            by_vid.setdefault(r.video_id, []).append(r)
+    out = []
+    for a in annotations:
+        frames = []
+        for r in by_vid.get(a.video_id, ()):
+            try:
+                v = oracles._pose_vector(np.asarray(r.pose), clusters.reference)
+            except AlignmentError:
+                continue
+            d2 = ((clusters.centroids - v) ** 2).sum(axis=1)
+            frames.append(clusters.distributions[int(np.argmin(d2))])
+        out.append(np.max(frames, axis=0) if frames else clusters.prior.copy())
+    return out
+
+
+def _pose_corpus(rng, prefix, n_videos):
+    """Videos of one or two activities, each frame posed from one of three
+    templates; every fifth frame has a single confident keypoint and cannot
+    be aligned."""
+    templates = [np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.0, 2.0]]),
+                 np.array([[0.0, 0.0], [1.0, 0.1], [1.1, 1.0], [2.0, 1.2]]),
+                 np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0], [0.5, 2.0]])]
+    anns, aux = [], []
+    for v in range(n_videos):
+        vid = f"{prefix}{v}"
+        c = int(rng.integers(4))
+        insts = [(f"c00{c}", 0.0, 6.0), (f"c00{(c + 1) % 4}", 4.0, 10.0)][:1 + v % 2]
+        anns.append(ann(vid, 10.0, *insts))
+        for t in (1.0, 3.0, 5.0, 7.0, 9.0):
+            pose = _pose(templates[int(rng.integers(3))], 0.05, rng)
+            if rng.random() < 0.2:
+                pose = tuple((x, y, 1.0 if i == 0 else 0.0)
+                             for i, (x, y, _) in enumerate(pose))
+            aux.append(AuxiliaryRecord(vid, t, pose=pose))
+    return anns, aux
+
+
+def test_pose_clusters_and_oracle_match_loop_references():
+    rng = np.random.default_rng(10)
+    train, train_aux = _pose_corpus(rng, "T", 40)
+    test, test_aux = _pose_corpus(rng, "V", 12)
+    test.append(ann("NOPOSE", 10.0, ("c000", 0.0, 5.0)))
+    test_aux.append(AuxiliaryRecord("UNANNOTATED", 1.0,
+                                    pose=_pose(np.eye(3)[:, :2], 0.05, rng)))
+    for k in (1, 5, 40):
+        want = _loop_pose_clusters(train, train_aux, VOCAB, k, seed=k)
+        got = build_pose_clusters(train, train_aux, VOCAB, k=k, seed=k)
+        for field in ("centroids", "distributions", "reference", "prior"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        expect = _loop_pose_oracle(got, test, test_aux)
+        out = pose_oracle(got, test, test_aux, VOCAB)
+        assert [p.video_id for p in out] == [a.video_id for a in test]
+        for p, e in zip(out, expect):
+            assert np.array_equal(p.scores, e)
+    assert np.array_equal(out[-1].scores, got.prior)
+
+
+def test_intent_clusters_match_loop_reference(monkeypatch):
+    rng = np.random.default_rng(12)
+    anns = []
+    for v in range(60):
+        cats = rng.choice(4, size=int(rng.integers(0, 3)), replace=False)
+        anns.append(ann(f"T{v}", 10.0, *[(f"c00{c}", 0.0, 5.0) for c in cats]))
+    labels = labels_matrix(anns, VOCAB).astype(float)
+    for k in (1, 2, 3):
+        got = build_intent_clusters(anns, VOCAB, k, seed=k)
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "kmeans", _loop_kmeans)
+            assign, _ = spectral_cluster(labels, k, seed=k)
+        want = np.zeros((k + 1, len(VOCAB)))
+        for j in range(k + 1):
+            members = labels[assign == j]
+            if len(members):
+                want[j] = members.mean(axis=0)
+        assert np.array_equal(got.assignments, assign)
+        assert np.array_equal(got.distributions, want)
 
 
 def test_build_pose_clusters_requires_enough_frames():

@@ -290,6 +290,37 @@ def test_config_rejects_missing_files(tmp_path):
         RunConfig(vocab=str(tmp_path / "nope.csv"), test=str(tmp_path / "nope2"))
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("bootstrap_resamples", 0, "bootstrap_resamples"),
+    ("permutations", 0, "permutations"),
+    ("samples_per_video", 0, "samples_per_video"),
+    ("bins", 0, "bins"),
+    ("pose_k", 0, "pose_k"),
+    ("intent_ks", (30, 0), r"intent_ks\[1\]"),
+    ("bootstrap_resamples", -5, "bootstrap_resamples"),
+])
+def test_config_rejects_non_positive_counts(tmp_path, field, value, name):
+    paths = _write_corpus(tmp_path)
+    with pytest.raises(ValueError, match=name):
+        _config(tmp_path, paths, **{field: value})
+    # the count is checked before any input path is looked at
+    with pytest.raises(ValueError, match=name):
+        RunConfig(vocab=str(tmp_path / "nope.csv"), test=str(tmp_path / "nope2"),
+                  **{field: value})
+
+
+def test_cli_report_rejects_zero_bootstrap_before_reading(tmp_path):
+    # the parent read and validated every input, then died in the
+    # bootstrap with a bare IndexError from np.quantile over no resamples
+    paths = _write_corpus(tmp_path)
+    out = tmp_path / "cli_zero"
+    with pytest.raises(ValueError, match="bootstrap_resamples must be at least 1"):
+        main(["report", "--vocab", paths["vocab.csv"], "--test", paths["test.csv"],
+              "--train", paths["train.csv"], "--pred", f"svm={paths['svm']}",
+              "--bootstrap", "0", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_bootstrap_map_ci_matches_generic_bootstrap():
     rng = np.random.default_rng(0)
     n = 30
