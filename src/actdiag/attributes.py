@@ -21,30 +21,59 @@ class AlignmentError(ValueError):
 
 
 def _confident(pose):
-    return np.asarray(pose)[:, 2] > CONF_THRESHOLD
+    return np.asarray(pose)[..., 2] > CONF_THRESHOLD
+
+
+def _matmul(x, y):
+    """x @ y over stacked matrices, as products summed over the shared axis
+    in index order, so a matrix's product does not depend on the stack."""
+    return (x[..., :, :, None] * y[..., None, :, :]).sum(axis=-2)
+
+
+def _centred(xy, shared):
+    """Stacked (P, K, 2) keypoints minus the mean of each configuration's
+    shared keypoints, and the norm of the shared part. Every sum runs over
+    the keypoint axis in index order (a non-shared keypoint adds 0), the
+    order of one configuration's own mean."""
+    w = shared[..., None]
+    mean = (xy * w).sum(axis=1) / np.maximum(shared.sum(axis=1), 1)[:, None]
+    centred = xy - mean[:, None]
+    return centred, np.sqrt(((centred * w) ** 2).sum(axis=1).sum(axis=1))
 
 
 def _fit_similarity(a, b):
-    """Best rotation (no reflection) and scale taking unit-normalized b
-    onto unit-normalized a; returns (residual c in [0,1] term, m)."""
+    """Best rotation (no reflection) and scale taking each unit-normalized
+    pose of the stack b onto the matching one of a, both (P, K, 3).
+
+    Returns (pa, pb, rot, c, shared, ok): every keypoint of a and b centred
+    on, and scaled by the norm of, the keypoints confident in both; the
+    (P, 2, 2) rotations; the residual terms c; the shared masks; and
+    whether each pair can be aligned (at least 2 shared keypoints and
+    neither shared configuration at one point). A pair's values do not
+    depend on the stack it is in."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     shared = _confident(a) & _confident(b)
-    m = int(shared.sum())
-    if m < 2:
-        raise AlignmentError(f"only {m} shared confident keypoints")
-    pa = a[shared, :2] - a[shared, :2].mean(axis=0)
-    pb = b[shared, :2] - b[shared, :2].mean(axis=0)
-    na, nb = np.linalg.norm(pa), np.linalg.norm(pb)
-    if na == 0 or nb == 0:
-        raise AlignmentError("degenerate pose (all keypoints coincide)")
-    pa /= na
-    pb /= nb
-    u, sv, vt = np.linalg.svd(pb.T @ pa)
-    d = np.sign(np.linalg.det(u @ vt))
-    c = sv[0] + d * sv[1]
-    rot = u @ np.diag([1.0, d]) @ vt
-    return pa, pb, rot, c, m
+    pa, na = _centred(a[..., :2], shared)
+    pb, nb = _centred(b[..., :2], shared)
+    ok = (shared.sum(axis=1) >= 2) & (na > 0) & (nb > 0)
+    pa /= np.where(ok, na, 1.0)[:, None, None]
+    pb /= np.where(ok, nb, 1.0)[:, None, None]
+    w = shared[..., None]
+    u, sv, vt = np.linalg.svd(_matmul((pb * w).transpose(0, 2, 1), pa * w))
+    d = np.sign(np.linalg.det(_matmul(u, vt)))
+    c = sv[:, 0] + d * sv[:, 1]
+    rot = _matmul(u * np.stack([np.ones_like(d), d], axis=1)[:, None, :], vt)
+    return pa, pb, rot, c, shared, ok
+
+
+def _procrustes(a, b):
+    """Stacked procrustes_distance: (distances, ok) of (P, K, 3) pose
+    pairs; a distance is meaningless where ok is False."""
+    pa, pb, rot, c, shared, ok = _fit_similarity(a, b)
+    resid = (pa - c[:, None, None] * _matmul(pb, rot)) * shared[..., None]
+    m = np.maximum(shared.sum(axis=1), 1)
+    return np.sqrt((resid ** 2).sum(axis=1).sum(axis=1)) / np.sqrt(m), ok
 
 
 def procrustes_distance(a, b):
@@ -53,21 +82,25 @@ def procrustes_distance(a, b):
 
     The residual is formed explicitly (rather than as sqrt(1 - c^2), which
     loses half the significant digits near zero)."""
-    pa, pb, rot, c, m = _fit_similarity(a, b)
-    return float(np.linalg.norm(pa - c * (pb @ rot)) / np.sqrt(m))
+    a = np.asarray(a, dtype=float)[None]
+    b = np.asarray(b, dtype=float)[None]
+    dist, ok = _procrustes(a, b)
+    if not ok[0]:
+        m = int((_confident(a) & _confident(b)).sum())
+        if m < 2:
+            raise AlignmentError(f"only {m} shared confident keypoints")
+        raise AlignmentError("degenerate pose (all keypoints coincide)")
+    return float(dist[0])
 
 
-def align_pose(pose, reference):
-    """Similarity-align a full pose to a reference; returns (keypoints, 2)
-    coordinates of every keypoint after the fitted transform."""
-    pose = np.asarray(pose, dtype=float)
-    shared = _confident(pose) & _confident(reference)
-    if shared.sum() < 2:
-        raise AlignmentError("too few shared confident keypoints")
-    _, _, rot, c, _ = _fit_similarity(reference, pose)
-    pts = pose[:, :2] - pose[shared, :2].mean(axis=0)
-    n = np.linalg.norm(pose[shared, :2] - pose[shared, :2].mean(axis=0))
-    return (pts / n * c) @ rot
+def align_pose(poses, reference):
+    """Similarity-align each pose of a (P, K, 3) stack to one reference
+    pose; returns the (P, K, 2) coordinates of every keypoint after its
+    fitted transform, and whether each pose aligns (see _fit_similarity)."""
+    poses = np.asarray(poses, dtype=float)
+    ref = np.broadcast_to(np.asarray(reference, dtype=float), poses.shape)
+    _, pb, rot, c, _, ok = _fit_similarity(ref, poses)
+    return _matmul(pb * c[:, None, None], rot), ok
 
 
 def _sample_pairs(n, seed):
@@ -87,19 +120,17 @@ def _sample_pairs(n, seed):
 
 def pose_variability(poses, seed=0):
     """Mean pairwise Procrustes distance within a pose set; None when fewer
-    than two alignable poses/pairs exist."""
+    than two alignable poses/pairs exist. The sampled pairs are fitted in
+    one stacked call."""
     poses = [np.asarray(p) for p in poses if _confident(p).sum() >= 2]
     if len(poses) < 2:
         return None
-    dists = []
-    for i, j in _sample_pairs(len(poses), seed):
-        try:
-            dists.append(procrustes_distance(poses[i], poses[j]))
-        except AlignmentError:
-            continue
-    if not dists:
+    stack = np.stack(poses)
+    i, j = np.array(_sample_pairs(len(poses), seed)).T
+    dists, ok = _procrustes(stack[i], stack[j])
+    if not ok.any():
         return None
-    return float(np.mean(dists))
+    return float(np.mean(dists[ok]))
 
 
 @dataclass
@@ -141,10 +172,15 @@ def poses_by_category(annotations, auxiliary, vocab):
     for ann in annotations:
         for r in by_vid.get(ann.video_id, ()):
             pose = np.asarray(r.pose)
-            for inst in ann.instances:
-                if inst.start <= r.frame_time <= inst.end:
-                    out[inst.category].append(pose)
+            for cid in _active_at(ann, r.frame_time):
+                out[cid].append(pose)
     return out
+
+
+def _active_at(ann, t):
+    """The categories of ann with an instance active at time t, each once
+    however many of its instances overlap there (as in frame_labels)."""
+    return dict.fromkeys(i.category for i in ann.instances if i.start <= t <= i.end)
 
 
 def category_attributes(vocab, train_annotations, auxiliary=None, seed=0):
@@ -174,11 +210,9 @@ def category_attributes(vocab, train_annotations, auxiliary=None, seed=0):
         for r in aux_by_vid.get(ann.video_id, ()):
             if r.motion is None:
                 continue
-            for inst in ann.instances:
-                c = vocab.index[inst.category]
-                if inst.start <= r.frame_time <= inst.end:
-                    motion_sum[c] += r.motion
-                    motion_cnt[c] += 1
+            for cid in _active_at(ann, r.frame_time):
+                motion_sum[vocab.index[cid]] += r.motion
+                motion_cnt[vocab.index[cid]] += 1
 
     pose_var = {c.id: None for c in vocab.categories}
     if auxiliary:

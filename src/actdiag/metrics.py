@@ -94,9 +94,10 @@ def _ranked_ap(cw_end, wpos, last, total, n_pos, n_neg):
     (its AP is meaningless otherwise).
 
     Weights are integers, so cw_end is exact whatever the order within a
-    tie: normalized_ap and weighted_ap take it from one list's cumsum,
-    report.bootstrap_map_ci from a float32 GEMM (exact below 2**24) for
-    every class and a block of resamples at once. The sum over positives
+    tie: normalized_ap takes it from one list's cumsum, and
+    report._resample_maps (the bootstrap and the video curves) from a
+    float32 GEMM (exact below 2**24) for every class and a block of weight
+    rows at once. The sum over positives
     is numpy's pairwise sum for one list and left to right (cumsum) for a
     batch, so a list's AP does not depend on the batch it is in."""
     wpos = np.asarray(wpos, dtype=float)
@@ -280,49 +281,6 @@ def localization_map(preds, annotations, vocab, samples_per_video=25):
     items = build_localization_items(
         preds, sample_grid(annotations, vocab, samples_per_video))
     return per_class_eval(items.scores, items.labels)
-
-
-# --- weighted AP (video multisets) ---
-
-def weighted_ap(scores, positives, weights, consts):
-    """Normalized AP of the list where entry i is repeated weights[i] times.
-
-    Equals normalized_ap on the np.repeat-expanded list up to summation
-    order: a weighted positive adds its block's precision weights[i] times,
-    summed in rank_order. weights must be non-negative integers summing
-    below 2**31; others raise ValueError, as does no positive weight.
-    """
-    scores = np.asarray(scores, dtype=float)
-    positives = np.asarray(positives, dtype=bool)
-    weights = np.asarray(weights, dtype=float)
-    if not (np.all((weights >= 0) & (weights == np.floor(weights)))
-            and weights.sum() < 2 ** 31):
-        raise ValueError("weights must be non-negative integers summing below 2**31")
-    if not weights[positives].any():
-        raise ValueError("ranked list has no positive weight")
-    order = rank_order(scores, positives)
-    w = weights[order]
-    ranks, ends, last = _positive_steps(positives[order], scores[order])
-    ap, _ = _ranked_ap(np.cumsum(w)[ends], w[ranks], last, w.sum(),
-                       consts.n_pos, consts.n_neg)
-    return float(ap)
-
-
-def weighted_classification_map(scores, labels, weights):
-    """mAP of the video multiset where video v appears weights[v] times.
-
-    Reference counts are recomputed from the weighted subset. Videos with
-    weight 0 are excluded. Used by bootstrap resampling.
-    """
-    total = float(weights.sum())
-    pos_w = weights @ labels
-    n_pos = float(pos_w.mean())
-    n_neg = float(total - pos_w.mean())
-    if n_pos <= 0:
-        raise ValueError("resample has no positive labels")
-    consts = NormalizationConstants(n_pos, n_neg)
-    return float(np.mean([weighted_ap(scores[:, c], labels[:, c], weights, consts)
-                          for c in np.flatnonzero(pos_w > 0)]))
 
 
 def eval_result_csv(result, vocab):

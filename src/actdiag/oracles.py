@@ -296,30 +296,16 @@ class PoseClusters:
     prior: np.ndarray
 
 
-def _pose_vector(pose, reference):
-    return align_pose(pose, reference).ravel()
-
-
 def _mean_reference(poses):
     """One-pass generalized alignment: align everything to the first pose
     that poses can align to (one that aligns to itself: at least two
     confident keypoints, not all at one point), average, and use the
     average as the reference. Raises AlignmentError when no pose can."""
-    for ref in poses:
-        try:
-            align_pose(ref, ref)
-        except AlignmentError:
-            continue
-        break
-    else:
+    _, self_ok = align_pose(poses, poses)
+    if not self_ok.any():
         raise AlignmentError("no pose that the others can align to")
-    aligned = []
-    for p in poses:
-        try:
-            aligned.append(align_pose(p, ref))
-        except AlignmentError:
-            continue
-    mean_xy = np.mean(aligned, axis=0)
+    aligned, ok = align_pose(poses, poses[np.argmax(self_ok)])
+    mean_xy = aligned[ok].mean(axis=0)
     return np.column_stack([mean_xy, np.ones(len(mean_xy))])
 
 
@@ -341,28 +327,22 @@ def build_pose_clusters(annotations, auxiliary, vocab, k=500, seed=0):
     """Cluster Procrustes-aligned training poses and record each cluster's
     frame-label distribution. Raises AlignmentError when fewer than k
     poses align to the mean reference."""
-    poses, frame_labels = [], []
-    for ann, t, pose in posed_frames(annotations, auxiliary):
-        lab = np.zeros(len(vocab))
+    frames = posed_frames(annotations, auxiliary)
+    if len(frames) < k:
+        raise ValueError(f"only {len(frames)} posed training frames for k={k}")
+    labs = np.zeros((len(frames), len(vocab)))
+    for lab, (ann, t, _) in zip(labs, frames):
         for inst in ann.instances:
             if inst.start <= t <= inst.end:
                 lab[vocab.index[inst.category]] = 1.0
-        poses.append(pose)
-        frame_labels.append(lab)
-    if len(poses) < k:
-        raise ValueError(f"only {len(poses)} posed training frames for k={k}")
+    poses = np.stack([pose for _, _, pose in frames])
     reference = _mean_reference(poses)
-    vecs, labs = [], []
-    for p, lab in zip(poses, frame_labels):
-        try:
-            vecs.append(_pose_vector(p, reference))
-            labs.append(lab)
-        except AlignmentError:
-            continue
-    if len(vecs) < k:
-        raise AlignmentError(f"only {len(vecs)} posed training frames align for k={k}")
-    vecs = np.array(vecs)
-    labs = np.array(labs)
+    aligned, ok = align_pose(poses, reference)
+    n_ok = int(ok.sum())
+    if n_ok < k:
+        raise AlignmentError(f"only {n_ok} posed training frames align for k={k}")
+    vecs = aligned[ok].reshape(n_ok, -1)
+    labs = labs[ok]
     centroids, assign = kmeans(vecs, k, seed)
     return PoseClusters(centroids, _cluster_means(labs, assign, k), reference,
                         labs.mean(axis=0))
@@ -371,22 +351,23 @@ def build_pose_clusters(annotations, auxiliary, vocab, k=500, seed=0):
 def pose_oracle(clusters, annotations, auxiliary, vocab):
     """Per frame, the nearest pose centroid's distribution; video vector is
     the max over posed frames, the prior when a video has none. All the
-    test frames that align are assigned by one blocked distance call."""
+    test frames are aligned by one call, and those that align are
+    assigned by one blocked distance call."""
     by_vid = {}
     for r in auxiliary:
         if r.pose is not None:
             by_vid.setdefault(r.video_id, []).append(r)
-    vecs, owner = [], []
+    poses, owner = [], []
     for i, ann in enumerate(annotations):
         for r in by_vid.get(ann.video_id, ()):
-            try:
-                vecs.append(_pose_vector(np.asarray(r.pose), clusters.reference))
-            except AlignmentError:
-                continue
+            poses.append(r.pose)
             owner.append(i)
     nearest = np.zeros(0, dtype=int)
-    if vecs:
-        nearest = _sq_dists(np.array(vecs), clusters.centroids).argmin(axis=1)
+    if poses:
+        aligned, ok = align_pose(poses, clusters.reference)
+        owner = np.array(owner)[ok]
+        vecs = aligned[ok].reshape(len(owner), -1)
+        nearest = _sq_dists(vecs, clusters.centroids).argmin(axis=1)
     frames = clusters.distributions[nearest]
     bounds = np.searchsorted(owner, np.arange(len(annotations) + 1))
     out = []

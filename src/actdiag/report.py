@@ -209,8 +209,8 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0):
     Draws the same resamples as stats.bootstrap_ci (one Generator per
     (seed, index), up to 1 + stats.MAX_RETRIES draws until one holds a
     labelled video, else the same ValueError) and takes, per resample, the
-    mAP that metrics.weighted_classification_map gives on its video counts,
-    up to the order of each class's sum over positives.
+    mAP of its video counts from _resample_maps, the one weighted-mAP
+    kernel, which the video curves also use.
 
     GEMM form: the step matrix M (K, n) has one row per positive of every
     class, M[j, v] = 1 where video v ranks at or above positive j's block
@@ -219,7 +219,7 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0):
     positives' block ends, and metrics._ranked_ap turns them into APs,
     each class padded to the largest positive count with zero-weight
     copies of its last positive. Every GEMM entry and partial sum is an
-    integer of at most n (a resample's counts sum to n), which float32
+    integer of at most a row's total (n for a resample), which float32
     holds exactly for n < 2**24, so the counts do not depend on the BLAS,
     its thread count or its summation order; larger n raises ValueError.
     The sum over each class's positives and the sum over classes run left
@@ -245,11 +245,18 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0):
 
 
 def _resample_maps(scores, labels, weights):
-    """mAP under every row of weights, (b, n) float32 video counts each
-    summing to n, in the GEMM form of bootstrap_map_ci."""
+    """Classification mAP of the video multiset of every row of weights,
+    (b, n) float32 integer video counts, in the GEMM form of
+    bootstrap_map_ci; nan for a row with no positive weight.
+
+    A row's reference counts are its mean positive weight per class and
+    its total less that, as in metrics.subset_constants on the expanded
+    list, and its mAP is the mean AP over the classes it holds a positive
+    of. A row's mAP does not depend on the other rows."""
     n = weights.shape[1]
+    total = weights.sum(axis=1, dtype=np.float64)
     npos = (weights @ labels.astype(np.float32)).astype(np.int64).mean(axis=1)
-    nneg = n - npos
+    nneg = total - npos
     classes = np.flatnonzero(labels.any(axis=0))     # no other class is ever live
     counts = labels[:, classes].sum(axis=0)
     width, n_live = counts.max(), len(classes)
@@ -267,14 +274,16 @@ def _resample_maps(scores, labels, weights):
         rows[:, k], items[:, k], last[:, k] = start + pad, o[ranks][pad], lst[pad] * n_live + k
         start += len(ranks)
     real = (np.arange(width)[:, None] < counts)[..., None]   # padding has weight 0
-    maps = np.empty(len(weights))
+    maps = np.full(len(weights), np.nan)
     for s in range(0, len(weights), BOOTSTRAP_BLOCK):
         block = slice(s, s + BOOTSTRAP_BLOCK)
         w = weights[block].T.copy()                          # (n, resamples)
-        ap, live = metrics._ranked_ap((step @ w)[rows], w[items] * real, last, n,
-                                      npos[block], nneg[block])
+        ap, live = metrics._ranked_ap((step @ w)[rows], w[items] * real, last,
+                                      total[block], npos[block], nneg[block])
         # cumsum adds left to right in class order
-        maps[block] = np.cumsum(np.where(live, ap, 0.0), axis=0)[-1] / live.sum(axis=0)
+        n_live = live.sum(axis=0)
+        np.divide(np.cumsum(np.where(live, ap, 0.0), axis=0)[-1], n_live,
+                  out=maps[block], where=n_live > 0)
     return maps
 
 
@@ -438,30 +447,32 @@ def _correlations(ctx):
 
 
 def _video_curves(ctx):
-    """Bin videos by an attribute and compute mAP per bin via weighted
-    evaluation of the member subset."""
+    """Bin videos by an attribute and compute each bin's mAP: the bins of
+    every attribute are 0/1 weight rows of one _resample_maps call per
+    method (nan for a bin without a positive label)."""
     bins = ctx.config.bins
-    curves = {}
+    curves, members = [], []   # (attribute, [(x_center, size)]), bins' videos
+    for attr in VIDEO_ATTRS:
+        pairs = [(float(val), v) for v, ann in enumerate(ctx.test)
+                 if (val := getattr(ctx.video_table[ann.video_id], attr)) is not None]
+        if len(pairs) < bins:
+            continue
+        xs = np.array([p[0] for p in pairs])
+        idx = np.array([p[1] for p in pairs])
+        parts = stats_mod.equal_population_bins(xs, bins)
+        curves.append((attr, [(float(xs[b].mean()), len(b)) for b in parts]))
+        members += [idx[b] for b in parts]
+    weights = np.zeros((len(members), len(ctx.test)), dtype=np.float32)
+    for row, vids in zip(weights, members):
+        row[vids] = 1
+    out = {}
     for name, m in ctx.methods.items():
-        for attr in VIDEO_ATTRS:
-            pairs = [(float(val), v) for v, ann in enumerate(ctx.test)
-                     if (val := getattr(ctx.video_table[ann.video_id], attr)) is not None]
-            if len(pairs) < bins:
-                continue
-            xs = np.array([p[0] for p in pairs])
-            idx = np.array([p[1] for p in pairs])
-            rows = []
-            for members in stats_mod.equal_population_bins(xs, bins):
-                w = np.zeros(len(ctx.test), dtype=int)
-                w[idx[members]] = 1
-                try:
-                    m_ap = metrics.weighted_classification_map(m.scores, ctx.labels, w)
-                except ValueError:
-                    m_ap = float("nan")
-                rows.append({"x_center": float(xs[members].mean()), "map": m_ap,
-                             "n": len(members)})
-            curves[f"{name}:{attr}"] = rows
-    return {"video_curves": curves}, {}
+        maps = iter(_resample_maps(m.scores, ctx.labels, weights).tolist()
+                    if members else ())
+        for attr, rows in curves:
+            out[f"{name}:{attr}"] = [{"x_center": x, "map": next(maps), "n": size}
+                                     for x, size in rows]
+    return {"video_curves": out}, {}
 
 
 def _smoothing(ctx):

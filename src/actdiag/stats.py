@@ -94,9 +94,10 @@ def pearson_many(pairs, permutations=10000, seed=0):
 
     Permutation i of length n is default_rng((seed, i)).permutation(n)
     whichever pair it serves, so pairs of one length share each draw. The
-    draws fill a (PERMUTATION_BLOCK, n) buffer; each row's r is a row-wise
-    sum, in the same pairwise order as a 1-D sum, so every r and p equals
-    that of one pair tested alone.
+    draws fill a (PERMUTATION_BLOCK, n) buffer in place: each row is set to
+    arange(n) and shuffled by that Generator, which is what permutation(n)
+    does. Each row's r is a row-wise sum, in the same pairwise order as a
+    1-D sum, so every r and p equals that of one pair tested alone.
     """
     out = [None] * len(pairs)
     groups = {}   # n -> [(pair index, xc, yc, rho, denom)]
@@ -118,8 +119,9 @@ def pearson_many(pairs, permutations=10000, seed=0):
         buf = np.empty((PERMUTATION_BLOCK, n), dtype=np.intp)
         for start in range(0, permutations, PERMUTATION_BLOCK):
             block = buf[:min(PERMUTATION_BLOCK, permutations - start)]
-            for j in range(len(block)):
-                block[j] = np.random.default_rng((seed, start + j)).permutation(n)
+            block[:] = np.arange(n)
+            for j, row in enumerate(block):
+                np.random.default_rng((seed, start + j)).shuffle(row)
             for g, (_, xc, yc, rho, denom) in enumerate(group):
                 r = (xc * yc[block]).sum(axis=1) / denom
                 hits[g] += int(np.count_nonzero(np.abs(r) >= abs(rho) - 1e-12))

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from actdiag import attributes
 from actdiag.attributes import (AlignmentError, align_pose,
                                 category_attributes, category_attributes_csv,
                                 complexity_counts,
@@ -71,11 +74,98 @@ def test_procrustes_needs_two_shared_keypoints():
 def test_align_pose_recovers_reference_shape():
     ref = square_pose()
     moved = transform(ref, angle=-1.1, scale=0.5, shift=(3.0, 3.0))
-    aligned = align_pose(moved, ref)
+    aligned, ok = align_pose(moved[None], ref)
     # aligned output is centered and unit-normalized like the reference fit
     ref_c = ref[:, :2] - ref[:, :2].mean(axis=0)
     ref_c /= np.linalg.norm(ref_c)
-    assert np.allclose(aligned, ref_c, atol=1e-9)
+    assert ok.tolist() == [True]
+    assert np.allclose(aligned[0], ref_c, atol=1e-9)
+
+
+def _loop_fit(a, b):
+    """Reference per-pair similarity fit (the loop form the stacked
+    kernel replaced); raises AlignmentError where a pair cannot align."""
+    shared = (a[:, 2] > 0.1) & (b[:, 2] > 0.1)
+    m = int(shared.sum())
+    if m < 2:
+        raise AlignmentError(f"only {m} shared confident keypoints")
+    pa = a[shared, :2] - a[shared, :2].mean(axis=0)
+    pb = b[shared, :2] - b[shared, :2].mean(axis=0)
+    na, nb = np.linalg.norm(pa), np.linalg.norm(pb)
+    if na == 0 or nb == 0:
+        raise AlignmentError("degenerate pose (all keypoints coincide)")
+    pa /= na
+    pb /= nb
+    u, sv, vt = np.linalg.svd(pb.T @ pa)
+    d = np.sign(np.linalg.det(u @ vt))
+    return pa, pb, u @ np.diag([1.0, d]) @ vt, sv[0] + d * sv[1], m, shared
+
+
+def _loop_procrustes(a, b):
+    pa, pb, rot, c, m, _ = _loop_fit(a, b)
+    return float(np.linalg.norm(pa - c * (pb @ rot)) / np.sqrt(m))
+
+
+def _loop_align(pose, reference):
+    _, _, rot, c, _, shared = _loop_fit(reference, pose)
+    pts = pose[:, :2] - pose[shared, :2].mean(axis=0)
+    n = np.linalg.norm(pose[shared, :2] - pose[shared, :2].mean(axis=0))
+    return (pts / n * c) @ rot
+
+
+def _random_poses(rng, n, k=13):
+    """Random poses with low-confidence keypoints, some poses with at most
+    one confident keypoint and some whose confident keypoints coincide."""
+    poses = rng.normal(size=(n, k, 3))
+    poses[..., 2] = np.where(rng.random((n, k)) < 0.25, 0.05, 0.9)
+    few = rng.random(n) < 0.1
+    poses[few, 1:, 2] = 0.0
+    coincide = rng.random(n) < 0.1   # a quarter-integer point: the mean is exact
+    poses[coincide, :, :2] = np.round(poses[coincide, :1, :2] * 4) / 4
+    return poses
+
+
+def test_stacked_procrustes_is_batch_invariant_and_matches_loop():
+    rng = np.random.default_rng(4)
+    a, b = _random_poses(rng, 400), _random_poses(rng, 400)
+    b[:20] = a[:20]                  # identical pairs: distance 0
+    dists, ok = attributes._procrustes(a, b)
+    raised = 0
+    for i in range(len(a)):
+        try:
+            want = _loop_procrustes(a[i], b[i])
+        except AlignmentError as e:
+            raised += 1
+            assert not ok[i]
+            with pytest.raises(AlignmentError, match=re.escape(str(e))):
+                procrustes_distance(a[i], b[i])
+            continue
+        assert ok[i]
+        assert dists[i] == procrustes_distance(a[i], b[i])   # bit for bit
+        assert dists[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert 40 < raised < 200
+    sub, sub_ok = attributes._procrustes(a[::7], b[::7])
+    assert sub.tobytes() == dists[::7].tobytes() and np.array_equal(sub_ok, ok[::7])
+
+
+def test_stacked_align_pose_is_batch_invariant_and_matches_loop():
+    rng = np.random.default_rng(5)
+    poses = _random_poses(rng, 300)
+    reference = poses[np.argmax((poses[..., 2] > 0.1).sum(axis=1) >= 8)]
+    aligned, ok = align_pose(poses, reference)
+    raised = 0
+    for i, pose in enumerate(poses):
+        one, one_ok = align_pose(pose[None], reference)
+        assert one_ok[0] == ok[i] and one[0].tobytes() == aligned[i].tobytes()
+        try:
+            want = _loop_align(pose, reference)
+        except AlignmentError:
+            raised += 1
+            assert not ok[i]
+            continue
+        assert ok[i]
+        assert np.abs(aligned[i] - want).max() <= 1e-12 * np.abs(want).max()
+    assert 20 < raised < 150
 
 
 def test_pose_variability_zero_for_identical_set():
@@ -162,6 +252,19 @@ def test_category_attributes_motion_inside_instances():
     assert table["c000"].motion == pytest.approx(2.0)
     # c001 spans [2,6], so only the t=5 record counts
     assert table["c001"].motion == pytest.approx(8.0)
+
+
+def test_overlapping_instances_of_one_class_count_a_frame_once():
+    # c000 on [1, 6] and on [4, 9]: t = 5 lies in both instances but is one
+    # frame of c000, as train_frames counts it (once per instance would give
+    # 3 poses and motion 5/3)
+    train = [VideoAnnotation("V1", 10.0, (ActivityInstance("c000", 1.0, 6.0),
+                                          ActivityInstance("c000", 4.0, 9.0)))]
+    pose = tuple(map(tuple, square_pose()))
+    aux = [AuxiliaryRecord("V1", 5.0, motion=2.0, pose=pose),
+           AuxiliaryRecord("V1", 2.0, motion=1.0, pose=pose)]
+    assert len(poses_by_category(train, aux, VOCAB)["c000"]) == 2
+    assert category_attributes(VOCAB, train, auxiliary=aux)["c000"].motion == 1.5
 
 
 def test_poses_by_category_assigns_active_instances():

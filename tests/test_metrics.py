@@ -5,8 +5,8 @@ from actdiag.corpus import (FramePredictions, VideoPredictions,
                             load_annotations, load_vocabulary)
 from actdiag.metrics import (NormalizationConstants, classification_map,
                              interval_iou, localization_map, normalized_ap,
-                             rank_order, sample_times,
-                             weighted_ap, weighted_classification_map)
+                             per_class_eval, rank_order, sample_times)
+from actdiag.report import _resample_maps
 
 VOCAB = """class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -272,49 +272,24 @@ def test_mean_ap_invariant_to_class_permutation():
     assert res.mean_ap == pytest.approx(res2.mean_ap, abs=1e-12)
 
 
-def test_weighted_ap_matches_expansion():
+def test_weighted_map_kernel_matches_expansion():
+    # report._resample_maps is the one weighted-mAP kernel (bootstrap and
+    # video curves): a row's mAP is the classification mAP of the list in
+    # which video v appears weights[v] times
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        n = int(rng.integers(3, 15))
-        scores = rng.choice([0.1, 0.4, 0.8], size=n)
-        pos = rng.random(n) < 0.4
-        w = rng.integers(0, 4, n)
-        if (w * pos).sum() == 0:
-            continue
-        k = NormalizationConstants(2.5, 7.5)
-        got = weighted_ap(scores, pos, w, k)
-        exp_scores = np.repeat(scores, w)
-        exp_pos = np.repeat(pos, w)
-        want = normalized_ap(exp_scores, exp_pos, k)
-        assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_weighted_ap_with_unit_weights_is_normalized_ap():
-    rng = np.random.default_rng(10)
-    for _ in range(200):
-        n = int(rng.integers(2, 300))
-        scores = np.round(rng.random(n), 1)       # long tie blocks
-        pos = rng.random(n) < 0.3
-        pos[0] = True
-        k = NormalizationConstants(float(rng.uniform(1, 9)), float(rng.uniform(0, 90)))
-        assert weighted_ap(scores, pos, np.ones(n, dtype=int), k) == \
-            normalized_ap(scores, pos, k)
-
-
-def test_weighted_ap_rejects_non_integer_weights():
-    k = NormalizationConstants(1, 1)
-    for bad in ([1, 0.5, 1], [1, -1, 2], [1, np.nan, 1], [1, np.inf, 1]):
-        with pytest.raises(ValueError, match="integer"):
-            weighted_ap([0.9, 0.5, 0.1], [True, False, True], bad, k)
-
-
-def test_weighted_classification_map_matches_unweighted():
-    vocab, anns = _toy_corpus()
-    rng = np.random.default_rng(2)
-    scores = rng.random((3, 3))
-    preds = [VideoPredictions(a.video_id, scores[i]) for i, a in enumerate(anns)]
-    res = classification_map(preds, anns, vocab)
-    from actdiag.metrics import labels_matrix
-    labels = labels_matrix(anns, vocab)
-    got = weighted_classification_map(scores, labels, np.ones(3, dtype=int))
-    assert got == pytest.approx(res.mean_ap, abs=1e-12)
+    for _ in range(40):
+        n, c = int(rng.integers(3, 15)), int(rng.integers(1, 5))
+        scores = rng.choice([0.1, 0.4, 0.8], size=(n, c))    # tie blocks
+        labels = rng.random((n, c)) < 0.4
+        labels[0, 0] = True
+        weights = rng.integers(0, 4, (20, n))
+        weights[0] = 0
+        weights[0, np.flatnonzero(~labels.any(axis=1))] = 1   # no positive weight
+        maps = _resample_maps(scores, labels, weights.astype(np.float32))
+        for w, got in zip(weights, maps):
+            exp_labels = np.repeat(labels, w, axis=0)
+            if not exp_labels.any():
+                assert np.isnan(got)
+                continue
+            want = per_class_eval(np.repeat(scores, w, axis=0), exp_labels).mean_ap
+            assert got == pytest.approx(want, abs=1e-9)

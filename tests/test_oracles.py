@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from actdiag import oracles
-from actdiag.attributes import AlignmentError
+from actdiag.attributes import AlignmentError, align_pose
 from actdiag.corpus import (ActivityInstance, AuxiliaryRecord,
                             VideoAnnotation, VideoPredictions,
                             load_vocabulary)
@@ -339,6 +339,21 @@ def test_pose_reference_skips_a_leading_pose_whose_keypoints_coincide():
         build_pose_clusters(anns[:3], aux[:3], VOCAB, k=2, seed=0)
 
 
+def _loop_pose_vector(pose, reference):
+    """One pose aligned by a one-pose call, flattened; None if it cannot."""
+    aligned, ok = align_pose(pose[None], reference)
+    return aligned[0].ravel() if ok[0] else None
+
+
+def _loop_mean_reference(poses):
+    """Reference _mean_reference: one alignment call per pose."""
+    ref = next(p for p in poses if _loop_pose_vector(p, p) is not None)
+    aligned = [v.reshape(-1, 2) for p in poses
+               if (v := _loop_pose_vector(p, ref)) is not None]
+    mean_xy = np.mean(aligned, axis=0)
+    return np.column_stack([mean_xy, np.ones(len(mean_xy))])
+
+
 def _loop_pose_clusters(annotations, auxiliary, vocab, k, seed):
     """Reference build_pose_clusters: loop k-means and one masked mean per
     cluster."""
@@ -350,14 +365,13 @@ def _loop_pose_clusters(annotations, auxiliary, vocab, k, seed):
                 lab[vocab.index[inst.category]] = 1.0
         poses.append(pose)
         frame_labels.append(lab)
-    reference = oracles._mean_reference(poses)
+    reference = _loop_mean_reference(poses)
     vecs, labs = [], []
     for p, lab in zip(poses, frame_labels):
-        try:
-            vecs.append(oracles._pose_vector(p, reference))
+        v = _loop_pose_vector(p, reference)
+        if v is not None:
+            vecs.append(v)
             labs.append(lab)
-        except AlignmentError:
-            continue
     vecs, labs = np.array(vecs), np.array(labs)
     centroids, assign = _loop_kmeans(vecs, k, seed)
     dists = np.zeros((k, len(vocab)))
@@ -378,9 +392,8 @@ def _loop_pose_oracle(clusters, annotations, auxiliary):
     for a in annotations:
         frames = []
         for r in by_vid.get(a.video_id, ()):
-            try:
-                v = oracles._pose_vector(np.asarray(r.pose), clusters.reference)
-            except AlignmentError:
+            v = _loop_pose_vector(np.asarray(r.pose), clusters.reference)
+            if v is None:
                 continue
             d2 = ((clusters.centroids - v) ** 2).sum(axis=1)
             frames.append(clusters.distributions[int(np.argmin(d2))])

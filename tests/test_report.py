@@ -2,16 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from actdiag import report as report_mod
-from actdiag.corpus import load_vocabulary
-from actdiag.metrics import weighted_classification_map
+from actdiag.attributes import video_attributes
+from actdiag.corpus import (ActivityInstance, AuxiliaryRecord, VideoAnnotation,
+                            load_vocabulary)
+from actdiag.metrics import labels_matrix, per_class_eval
 from actdiag.report import (BUNDLE_NAME, RunConfig, bootstrap_map_ci, main,
                             run_report, suggest)
-from actdiag.stats import bootstrap_ci
+from actdiag.stats import bootstrap_ci, equal_population_bins
 
 VOCAB_TEXT = """class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -334,19 +337,22 @@ def test_bootstrap_map_ci_matches_generic_bootstrap():
     one_video[7, [0, 3]] = True     # a third of the resamples miss it and are redrawn
     for sc, lab in ((scores, labels), (scores, no_positive), (tied, labels),
                     (scores, one_video)):
-        def stat(idx):
-            w = np.bincount(np.asarray(idx, int), minlength=n)
-            return weighted_classification_map(sc, lab, w)
-
-        lo_ref, hi_ref, _ = bootstrap_ci(np.arange(n), stat, b=200, seed=5)
+        lo_ref, hi_ref, _ = bootstrap_ci(np.arange(n), _one_row_map(sc, lab),
+                                         b=200, seed=5)
         lo, hi = bootstrap_map_ci(sc, lab, b=200, seed=5)
-        if sc is tied:
-            # a resample sums its positives left to right, one list alone
-            # pairwise (metrics._ranked_ap); here lo differs by 1 ulp
-            assert lo == pytest.approx(lo_ref, rel=1e-14)
-            assert hi == pytest.approx(hi_ref, rel=1e-14)
-        else:
-            assert lo == lo_ref and hi == hi_ref
+        assert lo == lo_ref and hi == hi_ref
+
+
+def _one_row_map(scores, labels):
+    """The statistic of stats.bootstrap_ci: the weighted-mAP kernel on one
+    resample's video counts, raising ValueError where it has no positive."""
+    def stat(idx):
+        w = np.bincount(np.asarray(idx, int), minlength=len(scores))
+        m = report_mod._resample_maps(scores, labels, w[None].astype(np.float32))[0]
+        if np.isnan(m):
+            raise ValueError("resample has no positive labels")
+        return m
+    return stat
 
 
 def test_bootstrap_map_ci_block_size_invariant(monkeypatch):
@@ -388,14 +394,54 @@ def test_bootstrap_map_ci_raises_when_every_redraw_misses():
     labels = np.zeros((n, 4), dtype=bool)
     labels[7, [0, 3]] = True
 
-    def stat(idx):
-        return weighted_classification_map(scores, labels,
-                                           np.bincount(np.asarray(idx, int), minlength=n))
-
     with pytest.raises(ValueError, match="no positive labels"):
-        bootstrap_ci(np.arange(n), stat, b=200, seed=1)
+        bootstrap_ci(np.arange(n), _one_row_map(scores, labels), b=200, seed=1)
     with pytest.raises(ValueError, match="no positive labels"):
         bootstrap_map_ci(scores, labels, b=200, seed=1)
+
+
+def test_video_curves_match_each_bins_subset_map():
+    # a bin's mAP is the classification mAP of its member videos, what the
+    # per-bin weighted_classification_map computed on 0/1 weights; the 15
+    # videos without actions fill the first num_actions bin, which has no
+    # positive label and reads nan
+    rng = np.random.default_rng(6)
+    vocab = load_vocabulary(VOCAB_TEXT)
+    test, aux = [], []
+    for v in range(60):
+        insts = tuple(ActivityInstance(f"c00{rng.integers(4)}", 1.0, 5.0)
+                      for _ in range(0 if v < 15 else int(rng.integers(1, 4))))
+        test.append(VideoAnnotation(f"V{v}", 10.0, insts))
+        if v % 10 != 3:     # no auxiliary record: left out of those curves
+            aux.append(AuxiliaryRecord(f"V{v}", 1.0, motion=float(rng.random()),
+                                       person_box=(0, 0, 10, int(rng.integers(50, 55))),
+                                       person_count=int(rng.integers(1, 3))))
+    labels = labels_matrix(test, vocab)
+    methods = {m: SimpleNamespace(scores=np.round(rng.random((60, 4)), 1))
+               for m in ("a", "b")}
+    ctx = SimpleNamespace(config=SimpleNamespace(bins=4), test=test, labels=labels,
+                          methods=methods, video_table=video_attributes(test, aux))
+    curves = report_mod._video_curves(ctx)[0]["video_curves"]
+    assert list(curves) == [f"{m}:{a}" for m in methods for a in report_mod.VIDEO_ATTRS]
+    nans = 0
+    for key, rows in curves.items():
+        name, attr = key.split(":")
+        vids = np.array([v for v, a in enumerate(test)
+                         if getattr(ctx.video_table[a.video_id], attr) is not None])
+        xs = np.array([float(getattr(ctx.video_table[test[v].video_id], attr))
+                       for v in vids])
+        bins = equal_population_bins(xs, 4)
+        assert len(rows) == len(bins)
+        for row, members in zip(rows, bins):
+            assert row["n"] == len(members) and row["x_center"] == float(xs[members].mean())
+            sub = labels[vids[members]]
+            if not sub.any():
+                assert np.isnan(row["map"])
+                nans += 1
+                continue
+            want = per_class_eval(methods[name].scores[vids[members]], sub).mean_ap
+            assert row["map"] == pytest.approx(want, rel=1e-12)
+    assert nans == 2
 
 
 def test_suggest_rules_trigger():
