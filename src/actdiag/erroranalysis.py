@@ -48,43 +48,35 @@ def classify_top_predictions(preds, annotations, vocab, samples_per_video=25,
 def classify_top_items(items, keep, vocab, top_n=None):
     """classify_top_predictions on localization items, given their boundary
     keep mask (boundary.boundary_keep_mask)."""
+    if top_n is not None and int(top_n) < 0:
+        raise ValueError(f"top_n must be at least 0, got {top_n}")
     active = items.labels          # (N, C) item inside an instance of c
     any_active = active.any(axis=1)
-    n_classes = len(vocab)
+    n_items, n_classes = active.shape
     same_obj = vocab.object_of[None, :] == vocab.object_of[:, None]   # (C, C)
     same_verb = vocab.verb_of[None, :] == vocab.verb_of[:, None]
     np.fill_diagonal(same_obj, False)
     np.fill_diagonal(same_verb, False)
 
     fractions = np.full((n_classes, len(LABELS)), np.nan)
-    used_n = np.zeros(n_classes, dtype=int)
-    mask = np.zeros(n_classes, dtype=bool)
-    for c in range(n_classes):
-        n_pos = int(active[:, c].sum())
-        n = n_pos if top_n is None else int(top_n)
-        n = min(n, items.scores.shape[0])
-        if n == 0:
-            continue
-        top = np.argsort(-items.scores[:, c], kind="stable")[:n]   # ties in item order
-        counts = dict.fromkeys(LABELS, 0)
-        obj_cols = np.flatnonzero(same_obj[c])
-        verb_cols = np.flatnonzero(same_verb[c])
-        for i in top:
-            if active[i, c]:
-                counts["tp"] += 1
-            elif not keep[i, c]:
-                counts["bnd"] += 1
-            elif active[i, obj_cols].any():
-                counts["obj"] += 1
-            elif active[i, verb_cols].any():
-                counts["vrb"] += 1
-            elif any_active[i]:
-                counts["oth"] += 1
-            else:
-                counts["fp"] += 1
-        fractions[c] = [counts[k] / n for k in LABELS]
-        used_n[c] = n
-        mask[c] = True
+    wanted = active.sum(axis=0) if top_n is None else np.full(n_classes, int(top_n))
+    used_n = np.minimum(wanted, n_items)
+    mask = used_n > 0
+    for c in np.flatnonzero(mask):
+        n, s = used_n[c], items.scores[:, c]
+        cut = np.partition(s, n_items - n)[n_items - n]   # the n-th highest score
+        above = np.flatnonzero(s > cut)
+        tied = np.flatnonzero(s == cut)[:n - len(above)]     # ties in item order
+        top = np.concatenate((above, tied))
+        hit = active[top]
+        rules = (hit[:, c], ~keep[top, c], hit[:, same_obj[c]].any(axis=1),
+                 hit[:, same_verb[c]].any(axis=1), any_active[top], True)
+        rest, counts = np.ones(n, dtype=bool), []
+        for rule in rules:             # each rule claims what earlier ones left
+            claimed = rest & rule
+            counts.append(np.count_nonzero(claimed))
+            rest &= ~claimed
+        fractions[c] = np.array(counts) / n
     return ErrorBreakdown(fractions, used_n, mask)
 
 

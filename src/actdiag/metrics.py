@@ -12,9 +12,11 @@ reference counts equal to the list's actual counts this reduces exactly to
 classical AP.
 
 Tie rule: entries with equal scores share one rank, so tied positives share
-one precision value and AP does not depend on the order within a tie. An
-all-ones or binary score vector (an oracle) credits every positive in a tie
-at the tie's last rank.
+one precision value and AP does not depend on the order within a tie. A
+positive's block end is the count of entries scoring at or above it, read
+from a sort of the list; no full rank order is built. An all-ones or binary
+score vector (an oracle) credits every positive in a tie at the tie's last
+rank.
 """
 
 from dataclasses import dataclass
@@ -59,24 +61,20 @@ def interval_iou(a, b):
     return inter / union
 
 
-def rank_order(scores, positives):
-    """Indices sorting by score descending, equal scores negatives-first."""
-    scores = np.asarray(scores, dtype=float)
-    positives = np.asarray(positives, dtype=bool)
-    # lexsort: last key is primary
-    return np.lexsort((positives.astype(np.int8), -scores))
-
-
-def _positive_steps(pos, sorted_scores):
-    """Where a ranked list's positives sit: their ranks; each one's block
-    end, the last rank holding its score ('at or above a rank' then
-    includes every tied entry, so equal scores share one precision value
-    and duplicating a list changes nothing); and for each the index
-    (among the positives) of the last positive in its block."""
-    ranks = np.flatnonzero(pos)
-    bounds = np.flatnonzero(sorted_scores[:-1] != sorted_scores[1:])
-    ends = np.append(bounds, len(sorted_scores) - 1)[np.searchsorted(bounds, ranks)]
-    return ranks, ends, np.searchsorted(ranks, ends, side="right") - 1
+def _positive_steps(scores, positives):
+    """Where a list's positives sit once it is ranked by score, descending,
+    read from sorts alone: the positives' indices in rank order (tied
+    positives in index order); each one's block end, the count of entries
+    scoring at or above it (so equal scores share one precision value and
+    duplicating a list changes nothing); and for each the index (among the
+    positives) of the last positive in its block."""
+    idx = np.flatnonzero(positives)
+    pos = scores[idx]
+    asc = np.sort(pos)
+    desc = asc[::-1]                     # the positives' scores in rank order
+    ends = len(scores) - np.searchsorted(np.sort(scores), desc)
+    last = len(idx) - 1 - np.searchsorted(asc, desc)
+    return idx[np.argsort(-pos, kind="stable")], ends, last
 
 
 def _ranked_ap(cw_end, wpos, last, total, n_pos, n_neg):
@@ -94,7 +92,7 @@ def _ranked_ap(cw_end, wpos, last, total, n_pos, n_neg):
     (its AP is meaningless otherwise).
 
     Weights are integers, so cw_end is exact whatever the order within a
-    tie: normalized_ap takes it from one list's cumsum, and
+    tie: normalized_ap takes it as a count from the sorted list, and
     report._resample_maps (the bootstrap and the video curves) from a
     float32 GEMM (exact below 2**24) for every class and a block of weight
     rows at once. The sum over positives
@@ -126,12 +124,12 @@ def normalized_ap(scores, positives, consts):
     """
     scores = np.asarray(scores, dtype=float)
     positives = np.asarray(positives, dtype=bool)
+    if scores.shape != positives.shape:
+        raise ValueError(f"{scores.shape} scores for {positives.shape} positive flags")
     if not positives.any():
         raise ValueError("ranked list has no positive entries")
-    # unit weights: tied positives share one precision, so ties need no order
-    order = np.argsort(-scores)
-    ranks, ends, last = _positive_steps(positives[order], scores[order])
-    ap, _ = _ranked_ap(ends + 1, np.ones(len(ranks)), last, len(order),
+    idx, ends, last = _positive_steps(scores, positives)
+    ap, _ = _ranked_ap(ends, np.ones(len(idx)), last, len(scores),
                        consts.n_pos, consts.n_neg)
     return float(ap)
 

@@ -213,8 +213,8 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0):
     kernel, which the video curves also use.
 
     GEMM form: the step matrix M (K, n) has one row per positive of every
-    class, M[j, v] = 1 where video v ranks at or above positive j's block
-    end in its class. One float32 GEMM per BOOTSTRAP_BLOCK resamples,
+    class, M[j, v] = 1 where video v scores at or above positive j in its
+    class. One float32 GEMM per BOOTSTRAP_BLOCK resamples,
     M @ weights.T, gives every class's cumulative weight at each of its
     positives' block ends, and metrics._ranked_ap turns them into APs,
     each class padded to the largest positive count with zero-weight
@@ -263,16 +263,13 @@ def _resample_maps(scores, labels, weights):
     step = np.empty((counts.sum(), n), dtype=np.float32)
     # (positive, class) -> its step row, its video, its block's last positive
     rows, items, last = (np.empty((width, n_live), dtype=np.intp) for _ in range(3))
-    rank_of = np.empty(n, dtype=np.intp)
     start = 0
     for k, c in enumerate(classes):
-        o = metrics.rank_order(scores[:, c], labels[:, c])
-        ranks, ends, lst = metrics._positive_steps(labels[o, c], scores[o, c])
-        rank_of[o] = np.arange(n)
-        step[start:start + len(ranks)] = rank_of <= ends[:, None]
-        pad = np.minimum(np.arange(width), len(ranks) - 1)   # repeat the last positive
-        rows[:, k], items[:, k], last[:, k] = start + pad, o[ranks][pad], lst[pad] * n_live + k
-        start += len(ranks)
+        idx, _, lst = metrics._positive_steps(scores[:, c], labels[:, c])
+        step[start:start + len(idx)] = scores[:, c] >= scores[idx, c, None]
+        pad = np.minimum(np.arange(width), len(idx) - 1)   # repeat the last positive
+        rows[:, k], items[:, k], last[:, k] = start + pad, idx[pad], lst[pad] * n_live + k
+        start += len(idx)
     real = (np.arange(width)[:, None] < counts)[..., None]   # padding has weight 0
     maps = np.full(len(weights), np.nan)
     for s in range(0, len(weights), BOOTSTRAP_BLOCK):

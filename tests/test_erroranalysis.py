@@ -3,9 +3,10 @@ import pytest
 
 from actdiag.corpus import (ActivityInstance, FramePredictions,
                             VideoAnnotation, load_vocabulary)
-from actdiag.erroranalysis import (LABELS, classify_top_predictions,
-                                   confusion_csv, score_confusion)
-from actdiag.metrics import labels_matrix
+from actdiag.erroranalysis import (LABELS, classify_top_items,
+                                   classify_top_predictions, confusion_csv,
+                                   score_confusion)
+from actdiag.metrics import LocalizationItems, labels_matrix
 
 VOCAB = load_vocabulary("""class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -82,6 +83,82 @@ def test_classify_precedence_tp_over_boundary():
     in_inst = ((times >= 2.0) & (times <= 8.0)).sum()
     assert f[0] == pytest.approx(in_inst / 25)
     assert f[0] + f[1] + f[5] == pytest.approx(1.0)
+
+
+def test_classify_rejects_negative_top_n():
+    anns, preds = _typed_corpus()
+    with pytest.raises(ValueError, match="top_n"):
+        classify_top_predictions(preds, anns, VOCAB, top_n=-1)
+    items, keep = _random_items(0)
+    with pytest.raises(ValueError, match="top_n"):
+        classify_top_items(items, keep, VOCAB, top_n=-1)
+    res = classify_top_predictions(preds, anns, VOCAB, top_n=0)
+    assert not res.mask.any() and not res.top_n.any()
+    assert np.isnan(res.fractions).all()
+
+
+def _ref_classify_top_items(items, keep, vocab, top_n=None):
+    """The per-item typing loop that classify_top_items replaced."""
+    active = items.labels
+    any_active = active.any(axis=1)
+    n_classes = len(vocab)
+    same_obj = vocab.object_of[None, :] == vocab.object_of[:, None]
+    same_verb = vocab.verb_of[None, :] == vocab.verb_of[:, None]
+    np.fill_diagonal(same_obj, False)
+    np.fill_diagonal(same_verb, False)
+    fractions = np.full((n_classes, len(LABELS)), np.nan)
+    used_n = np.zeros(n_classes, dtype=int)
+    mask = np.zeros(n_classes, dtype=bool)
+    for c in range(n_classes):
+        n = int(active[:, c].sum()) if top_n is None else int(top_n)
+        n = min(n, items.scores.shape[0])
+        if n == 0:
+            continue
+        top = np.argsort(-items.scores[:, c], kind="stable")[:n]
+        counts = dict.fromkeys(LABELS, 0)
+        obj_cols = np.flatnonzero(same_obj[c])
+        verb_cols = np.flatnonzero(same_verb[c])
+        for i in top:
+            if active[i, c]:
+                counts["tp"] += 1
+            elif not keep[i, c]:
+                counts["bnd"] += 1
+            elif active[i, obj_cols].any():
+                counts["obj"] += 1
+            elif active[i, verb_cols].any():
+                counts["vrb"] += 1
+            elif any_active[i]:
+                counts["oth"] += 1
+            else:
+                counts["fp"] += 1
+        fractions[c] = [counts[k] / n for k in LABELS]
+        used_n[c] = n
+        mask[c] = True
+    return fractions, used_n, mask
+
+
+def _random_items(seed, n=80):
+    """Items with one-decimal score ties (so ties straddle every top-n cut)
+    over VOCAB, whose c003 shares neither object nor verb with a class."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-2, 6, (n, len(VOCAB))) / 10
+    scores[rng.random(scores.shape) < 0.1] = -0.0
+    labels = rng.random(scores.shape) < rng.uniform(0.05, 0.4, len(VOCAB))
+    labels[:, 2] &= seed % 3 != 0                    # sometimes no positive
+    items = LocalizationItems(np.zeros(n, dtype=int), np.zeros(n), labels, [],
+                              scores, np.zeros(n, dtype=int))
+    return items, rng.random(scores.shape) < 0.85
+
+
+def test_classify_top_items_matches_the_per_item_loop():
+    for seed in range(30):
+        items, keep = _random_items(seed)
+        for top_n in (None, 0, 1, 7, 13, 80, 200):
+            got = classify_top_items(items, keep, VOCAB, top_n)
+            want = _ref_classify_top_items(items, keep, VOCAB, top_n)
+            assert np.array_equal(got.fractions, want[0], equal_nan=True)
+            assert np.array_equal(got.top_n, want[1])
+            assert np.array_equal(got.mask, want[2])
 
 
 def test_cross_confusion_hand():

@@ -3,10 +3,12 @@ import pytest
 
 from actdiag.corpus import (FramePredictions, VideoPredictions,
                             load_annotations, load_vocabulary)
-from actdiag.metrics import (NormalizationConstants, classification_map,
-                             interval_iou, localization_map, normalized_ap,
-                             per_class_eval, rank_order, sample_times)
-from actdiag.report import _resample_maps
+from actdiag import boundary, metrics
+from actdiag.metrics import (NormalizationConstants, LocalizationItems,
+                             classification_map, interval_iou,
+                             localization_map, normalized_ap, per_class_eval,
+                             sample_times)
+from actdiag.report import BOOTSTRAP_BLOCK, _resample_maps
 
 VOCAB = """class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -87,13 +89,12 @@ def test_pessimistic_ties():
     assert normalized_ap([0.5, 0.5], [True, False], k) == 0.5
 
 
-def test_rank_order_deterministic():
-    s = np.array([0.5, 0.5, 0.9])
-    p = np.array([True, False, True])
-    o1 = rank_order(s, p)
-    o2 = rank_order(s.copy(), p.copy())
-    assert np.array_equal(o1, o2)
-    assert o1[0] == 2 and o1[1] == 1  # tie: negative first
+def test_normalized_ap_rejects_lists_of_unequal_length():
+    k = NormalizationConstants(1, 1)
+    with pytest.raises(ValueError, match="positive flags"):
+        normalized_ap([0.9, 0.5], [False, True, True], k)
+    with pytest.raises(ValueError, match="positive flags"):
+        normalized_ap([0.9, 0.5, 0.1], [False, True], k)
 
 
 def test_monotone_transform_invariance():
@@ -293,3 +294,133 @@ def test_weighted_map_kernel_matches_expansion():
                 continue
             want = per_class_eval(np.repeat(scores, w, axis=0), exp_labels).mean_ap
             assert got == pytest.approx(want, abs=1e-9)
+
+
+# --- the rank-order path that the sort-only _positive_steps replaced ---
+
+def _rank_order(scores, positives):
+    """Indices sorting by score descending, equal scores negatives-first."""
+    return np.lexsort((positives.astype(np.int8), -scores))
+
+
+def _ranked_steps(pos, sorted_scores):
+    """Ranks of a ranked list's positives, each one's block end (its last
+    tied rank) and the index of the last positive in its block."""
+    ranks = np.flatnonzero(pos)
+    bounds = np.flatnonzero(sorted_scores[:-1] != sorted_scores[1:])
+    ends = np.append(bounds, len(sorted_scores) - 1)[np.searchsorted(bounds, ranks)]
+    return ranks, ends, np.searchsorted(ranks, ends, side="right") - 1
+
+
+def _ref_normalized_ap(scores, positives, consts):
+    scores = np.asarray(scores, dtype=float)
+    positives = np.asarray(positives, dtype=bool)
+    if not positives.any():
+        raise ValueError("ranked list has no positive entries")
+    order = _rank_order(scores, positives)
+    ranks, ends, last = _ranked_steps(positives[order], scores[order])
+    ap, _ = metrics._ranked_ap(ends + 1, np.ones(len(ranks)), last, len(order),
+                               consts.n_pos, consts.n_neg)
+    return float(ap)
+
+
+def _ref_resample_maps(scores, labels, weights):
+    n = weights.shape[1]
+    total = weights.sum(axis=1, dtype=np.float64)
+    npos = (weights @ labels.astype(np.float32)).astype(np.int64).mean(axis=1)
+    nneg = total - npos
+    classes = np.flatnonzero(labels.any(axis=0))
+    counts = labels[:, classes].sum(axis=0)
+    width, n_live = counts.max(), len(classes)
+    step = np.empty((counts.sum(), n), dtype=np.float32)
+    rows, items, last = (np.empty((width, n_live), dtype=np.intp) for _ in range(3))
+    rank_of = np.empty(n, dtype=np.intp)
+    start = 0
+    for k, c in enumerate(classes):
+        o = _rank_order(scores[:, c], labels[:, c])
+        ranks, ends, lst = _ranked_steps(labels[o, c], scores[o, c])
+        rank_of[o] = np.arange(n)
+        step[start:start + len(ranks)] = rank_of <= ends[:, None]
+        pad = np.minimum(np.arange(width), len(ranks) - 1)
+        rows[:, k], items[:, k], last[:, k] = start + pad, o[ranks][pad], lst[pad] * n_live + k
+        start += len(ranks)
+    real = (np.arange(width)[:, None] < counts)[..., None]
+    maps = np.full(len(weights), np.nan)
+    for s in range(0, len(weights), BOOTSTRAP_BLOCK):
+        block = slice(s, s + BOOTSTRAP_BLOCK)
+        w = weights[block].T.copy()
+        ap, live = metrics._ranked_ap((step @ w)[rows], w[items] * real, last,
+                                      total[block], npos[block], nneg[block])
+        n_live = live.sum(axis=0)
+        np.divide(np.cumsum(np.where(live, ap, 0.0), axis=0)[-1], n_live,
+                  out=maps[block], where=n_live > 0)
+    return maps
+
+
+def _tie_heavy_lists(seed, n=60, n_classes=10):
+    """Scores with one-decimal ties across positives and negatives, plus an
+    all-positive class, a single positive, all-equal scores, mixed -0.0 and
+    0.0, and a class without positives."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-3, 8, (n, n_classes)) / 10
+    labels = rng.random((n, n_classes)) < 0.3
+    labels[:, 1] = True                              # all positive
+    labels[:, 2] = False
+    labels[rng.integers(n), 2] = True                # a single positive
+    scores[:, 3] = 0.5                               # all scores equal
+    scores[:, 4] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    scores[rng.random(n) < 0.2, 4] = 0.1
+    labels[:, 5] = False                             # no positive
+    return scores, labels
+
+
+def test_positive_steps_match_the_rank_order_path():
+    for seed in range(20):
+        scores, labels = _tie_heavy_lists(seed)
+        for c in np.flatnonzero(labels.any(axis=0)):
+            s, p = scores[:, c], labels[:, c]
+            o = _rank_order(s, p)
+            ranks, ends, last = _ranked_steps(p[o], s[o])
+            idx, got_ends, got_last = metrics._positive_steps(s, p)
+            assert np.array_equal(idx, o[ranks])
+            assert np.array_equal(got_ends, ends + 1)
+            assert np.array_equal(got_last, last)
+
+
+def test_evaluation_bits_match_the_rank_order_path(monkeypatch):
+    rng = np.random.default_rng(0)
+    runs = []
+    for seed in range(12):
+        scores, labels = _tie_heavy_lists(seed)
+        keep = rng.random(labels.shape) < 0.8
+        keep[:, 1] = True
+        keep[labels[:, 2], 2] = True                 # keep the single positive
+        items = LocalizationItems(np.zeros(len(scores), dtype=int), np.zeros(len(scores)),
+                                  labels, [], scores, np.zeros(len(scores), dtype=int))
+        weights = np.stack([np.bincount(rng.integers(0, len(scores), len(scores)),
+                                        minlength=len(scores)) for _ in range(40)]
+                           + [rng.random(len(scores)) < 0.5 for _ in range(40)]
+                           + [np.zeros(len(scores))]).astype(np.float32)
+        consts = metrics.subset_constants(labels)
+        runs.append((scores, labels, keep, items, weights, consts))
+
+    def evaluate(resample_maps):
+        out = []
+        for scores, labels, keep, items, weights, consts in runs:
+            aps = [metrics.normalized_ap(scores[:, c], labels[:, c], consts)
+                   for c in np.flatnonzero(labels.any(axis=0))]
+            full = metrics.per_class_eval(scores, labels)
+            excl = boundary.excluded_eval(items, keep)
+            out.append((np.array(aps), full.per_class_ap, full.mean_ap,
+                        excl.per_class_ap, excl.mean_ap,
+                        resample_maps(scores, labels, weights)))
+        return out
+
+    got = evaluate(_resample_maps)
+    monkeypatch.setattr(metrics, "normalized_ap", _ref_normalized_ap)
+    monkeypatch.setattr(boundary, "normalized_ap", _ref_normalized_ap)
+    want = evaluate(_ref_resample_maps)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert np.array_equal(a, b, equal_nan=True)
+    assert np.isnan(got[0][-1][-1])                  # the row without weight
