@@ -255,23 +255,3 @@ def video_attributes(annotations, auxiliary=None):
         )
     return table
 
-
-def category_attributes_csv(table):
-    cols = ["train_examples", "train_frames", "avg_extent", "object_complexity",
-            "verb_complexity", "motion", "pose_variability", "overlap_rate"]
-    lines = ["class_id," + ",".join(cols)]
-    for cid in table:
-        a = table[cid]
-        vals = [getattr(a, c) for c in cols]
-        lines.append(cid + "," + ",".join("" if v is None else repr(v) for v in vals))
-    return "\n".join(lines) + "\n"
-
-
-def video_attributes_csv(table):
-    cols = ["num_actions", "person_size", "multi_person", "mean_motion"]
-    lines = ["video_id," + ",".join(cols)]
-    for vid in table:
-        a = table[vid]
-        vals = [getattr(a, c) for c in cols]
-        lines.append(vid + "," + ",".join("" if v is None else repr(v) for v in vals))
-    return "\n".join(lines) + "\n"

@@ -19,13 +19,6 @@ from .stats import pearson_many
 class BoundaryRegion:
     intervals: tuple  # up to two (start, end) pairs, clipped, disjoint
 
-    def contains(self, t):
-        return any(s <= t <= e for s, e in self.intervals)
-
-    @property
-    def width(self):
-        return sum(e - s for s, e in self.intervals)
-
 
 def boundary_region(instance, duration):
     """Boundary region of an instance, clipped to [0, duration]."""
@@ -175,14 +168,6 @@ def _agreement_summary(records, permutations, seed):
     return summary
 
 
-def agreement_csv(records):
-    lines = ["video_id,class_id,iou,iou_noboundary,start_err,end_err,center_cov"]
-    for r in records:
-        lines.append(f"{r.video_id},{r.category},{r.iou!r},{r.boundary_excluded_iou!r},"
-                     f"{r.start_error!r},{r.end_error!r},{r.center_covered!r}")
-    return "\n".join(lines) + "\n"
-
-
 def boundary_keep_mask(grid, vocab):
     """(N, C) bool: item i may be evaluated for class c, i.e. its time is
     not inside a boundary region of any instance of c in its video."""
@@ -221,7 +206,7 @@ def excluded_eval(items, keep):
         sel = keep[:, c]
         per_class[c] = normalized_ap(items.scores[sel, c], items.labels[sel, c], consts)
     mean_ap = float(per_class[mask].mean()) if mask.any() else float("nan")
-    return EvalResult(per_class, mean_ap, mask, n_pos, n_neg, consts)
+    return EvalResult(per_class, mean_ap, mask, n_pos, n_neg)
 
 
 def perfect_classifier_localization(annotations, vocab, samples_per_video=25):

@@ -13,6 +13,9 @@ File formats:
   auxiliary.jsonl  one JSON object per line (any other JSON value is an
                    error), see AuxiliaryRecord
 
+A class_id or video_id holds no comma, double quote or whitespace, so it
+fits one cell of a bundle table and one field of a predictions line.
+
 All loaders raise CorpusError with a line number on malformed input; nothing
 is silently dropped. Loaded structures are immutable-by-convention and safe
 to share across threads.
@@ -22,6 +25,7 @@ import csv
 import io
 import json
 import math
+import re
 from array import array
 from dataclasses import dataclass, field
 
@@ -163,6 +167,12 @@ def _csv_rows(text):
         raise CorpusError(f"bad CSV: {e}", ln + 1) from None
 
 
+def _check_id(value, what, ln):
+    if re.search(r'[,"\s]', value):
+        raise CorpusError(f"{what} {value!r} holds a comma, a double quote or "
+                          "whitespace", ln)
+
+
 def load_vocabulary(text):
     """Parse vocabulary.csv into a Vocabulary."""
     rows = [row for _, row in _csv_rows(text)]
@@ -182,6 +192,7 @@ def load_vocabulary(text):
         desc = row[3].strip() if len(row) > 3 else ""
         if not cid or not vid or not oid:
             raise CorpusError("empty id field", ln)
+        _check_id(cid, "class_id", ln)
         if cid in seen:
             raise CorpusError(f"duplicate category id {cid!r} (first seen line {seen[cid]})", ln)
         seen[cid] = ln
@@ -221,6 +232,7 @@ def load_annotations(text, vocab):
         if len(row) < 2:
             raise CorpusError(f"expected video_id,duration,actions, got {row!r}", ln)
         video_id = row[0].strip()
+        _check_id(video_id, "video_id", ln)
         _check_new_video(seen, video_id, ln)
         duration = _parse_float(row[1], "duration", ln)
         if duration <= 0:

@@ -25,13 +25,6 @@ class ErrorBreakdown:
     top_n: np.ndarray       # (C,) item count actually inspected
     mask: np.ndarray        # (C,) bool
 
-    def to_csv(self, vocab):
-        lines = ["class_id," + ",".join(LABELS)]
-        for i, cat in enumerate(vocab.categories):
-            row = ",".join(repr(float(v)) for v in self.fractions[i])
-            lines.append(f"{cat.id},{row}")
-        return "\n".join(lines) + "\n"
-
 
 def classify_top_predictions(preds, annotations, vocab, samples_per_video=25,
                              top_n=None):
@@ -91,11 +84,3 @@ def score_confusion(scores, labels):
     mat = np.divide(num, den, out=np.full_like(num, np.nan), where=den > 0)
     np.fill_diagonal(mat, np.nan)
     return mat
-
-
-def confusion_csv(mat, vocab):
-    ids = [c.id for c in vocab.categories]
-    lines = ["class_id," + ",".join(ids)]
-    for i, cid in enumerate(ids):
-        lines.append(cid + "," + ",".join(repr(float(v)) for v in mat[i]))
-    return "\n".join(lines) + "\n"

@@ -41,13 +41,6 @@ class EvalResult:
     class_mask: np.ndarray     # (C,) bool, True where class had >= 1 positive
     n_pos: np.ndarray          # (C,) actual positive counts
     n_neg: np.ndarray          # (C,) actual negative counts
-    constants: NormalizationConstants = None
-
-    def to_rows(self, vocab):
-        return [(vocab.categories[i].id,
-                 float(self.per_class_ap[i]) if self.class_mask[i] else float("nan"),
-                 int(self.n_pos[i]), int(self.n_neg[i]))
-                for i in range(len(vocab))]
 
 
 def interval_iou(a, b):
@@ -167,7 +160,7 @@ def per_class_eval(scores, labels):
     for c in np.flatnonzero(mask):
         per_class[c] = normalized_ap(scores[:, c], labels[:, c], consts)
     mean_ap = float(per_class[mask].mean()) if mask.any() else float("nan")
-    return EvalResult(per_class, mean_ap, mask, n_pos, n_neg, consts)
+    return EvalResult(per_class, mean_ap, mask, n_pos, n_neg)
 
 
 def aligned_predictions(preds, annotations, what="predictions"):
@@ -279,10 +272,3 @@ def localization_map(preds, annotations, vocab, samples_per_video=25):
     items = build_localization_items(
         preds, sample_grid(annotations, vocab, samples_per_video))
     return per_class_eval(items.scores, items.labels)
-
-
-def eval_result_csv(result, vocab):
-    lines = ["class_id,ap,n_pos,n_neg"]
-    for cid, ap, np_, nn in result.to_rows(vocab):
-        lines.append(f"{cid},{ap!r},{np_},{nn}")
-    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attributes import AlignmentError, align_pose, _confident
 from .corpus import VideoPredictions
-from .metrics import labels_matrix, sample_times
+from .metrics import frame_labels, labels_matrix, sample_times
 
 SMOOTHING = 1.0   # additive count per (condition, class) cell
 KMEANS_MAX_ITER = 300
@@ -58,8 +58,6 @@ class TransitionStats:
     prior_counts: np.ndarray
     prev_counts: np.ndarray
     next_counts: np.ndarray
-    prev_totals: np.ndarray    # frames observed per condition
-    next_totals: np.ndarray
 
 
 def _neighbors(ann, vocab, t):
@@ -88,24 +86,16 @@ def build_temporal_stats(annotations, vocab, samples_per_video=25):
     prior_counts = np.zeros(n)
     prev_counts = np.zeros((n, n))
     next_counts = np.zeros((n, n))
-    prev_totals = np.zeros(n)
-    next_totals = np.zeros(n)
     for ann in annotations:
         times = sample_times(ann.duration, samples_per_video)
-        for t in times:
-            active = [vocab.index[i.category] for i in ann.instances
-                      if i.start <= t <= i.end]
+        active = frame_labels(ann, vocab, times)   # a class counts once per frame
+        prior_counts += active.sum(axis=0)
+        for t, row in zip(times, active):
             prev, nxt = _neighbors(ann, vocab, t)
-            for a in active:
-                prior_counts[a] += 1
-                if prev is not None:
-                    prev_counts[prev, a] += 1
-                if nxt is not None:
-                    next_counts[nxt, a] += 1
             if prev is not None:
-                prev_totals[prev] += 1
+                prev_counts[prev] += row
             if nxt is not None:
-                next_totals[nxt] += 1
+                next_counts[nxt] += row
 
     def smooth(rows):
         sm = rows + SMOOTHING
@@ -113,7 +103,7 @@ def build_temporal_stats(annotations, vocab, samples_per_video=25):
 
     return TransitionStats(smooth(prior_counts), smooth(prev_counts),
                            smooth(next_counts), prior_counts, prev_counts,
-                           next_counts, prev_totals, next_totals)
+                           next_counts)
 
 
 def apply_temporal_oracle(stats, annotation, vocab, samples_per_video=25):
@@ -243,7 +233,6 @@ def spectral_cluster(vectors, k, seed=0):
 @dataclass
 class IntentClusters:
     k: int
-    assignments: np.ndarray     # training video -> cluster (k = zero-label bin)
     distributions: np.ndarray   # (k+1, C) mean member label vector
     prior: np.ndarray           # (C,) global mean label vector
 
@@ -255,7 +244,7 @@ def build_intent_clusters(annotations, vocab, k, seed=0):
     labels = labels_matrix(annotations, vocab).astype(float)
     assign, _ = spectral_cluster(labels, k, seed)
     dists = _cluster_means(labels, assign, k + 1)
-    return IntentClusters(k, assign, dists, labels.mean(axis=0))
+    return IntentClusters(k, dists, labels.mean(axis=0))
 
 
 def _cluster_means(labels, assign, k):

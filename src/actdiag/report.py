@@ -10,7 +10,8 @@ is accepted for compatibility and changes nothing.
 The report is an ordered list of sections, each a function of one
 RunContext that loads every input and computes every shared intermediate
 at most once. Each CLI subcommand prints what the same context and
-sections compute.
+sections compute. The analysis modules return results; every table is
+formatted here, by _table and its one cell rule.
 """
 
 import argparse
@@ -33,7 +34,7 @@ from . import stats as stats_mod
 from . import temporal as temporal_mod
 from .corpus import (load_annotations, load_auxiliary, load_predictions,
                      load_vocabulary, validate_corpus, dump_video_predictions)
-from .metrics import classification_map, eval_result_csv, labels_matrix
+from .metrics import classification_map, labels_matrix
 
 DEFAULT_SWEEP = (0.0, 0.01, 0.02, 0.04, 0.08, 0.16)
 DEFAULT_INTENT_KS = (30, 50)
@@ -335,6 +336,51 @@ CATEGORY_ATTRS = ("train_examples", "train_frames", "avg_extent",
 VIDEO_ATTRS = ("num_actions", "person_size", "multi_person", "mean_motion")
 
 
+# --- tables: the one CSV format of every bundle table ---
+
+def _cell(v):
+    """None empty, bool True/False, an integer in decimal, a float as
+    repr(float(v)) (so nan stays nan), a str as it is."""
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return v   # a str; anything else fails the join
+
+
+def _table(header, rows):
+    """CSV text: the header, then each row, cells by _cell, each line
+    ended by \\n."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+
+
+def _per_class(vocab, columns):
+    """_table with one row per class: class_id, then the class's entry of
+    each (C,) column of the name -> values mapping."""
+    return _table(("class_id", *columns),
+                  zip([c.id for c in vocab.categories], *columns.values()))
+
+
+def _eval_table(res, vocab):
+    return _per_class(vocab, {"ap": res.per_class_ap, "n_pos": res.n_pos,
+                              "n_neg": res.n_neg})
+
+
+def _matrix_table(mat, vocab):
+    """A (C, C) class matrix, one column per class."""
+    return _per_class(vocab, dict(zip([c.id for c in vocab.categories], mat.T)))
+
+
+def _attribute_table(key, attrs, table):
+    """One row per table entry: its id, then each attribute, None empty."""
+    return _table((key, *attrs), [(k, *(getattr(a, attr) for attr in attrs))
+                                  for k, a in table.items()])
+
+
 # --- report sections: each maps the context to (report keys, CSV files) ---
 
 def _validation(ctx):
@@ -349,7 +395,7 @@ def _evaluation(ctx):
     evaluation, csvs = {}, {}
     for name, m in ctx.methods.items():
         cls = m.classification
-        csvs[f"classification_{name}.csv"] = eval_result_csv(cls, ctx.vocab)
+        csvs[f"classification_{name}.csv"] = _eval_table(cls, ctx.vocab)
         low, high = bootstrap_map_ci(m.scores, ctx.labels, c.bootstrap_resamples,
                                      0.95, c.seed)
         ev = evaluation[name] = {"classification_map": cls.mean_ap,
@@ -358,8 +404,8 @@ def _evaluation(ctx):
             ev["localization"] = "skipped: no frame predictions"
             continue
         loc, bex = m.localization, m.boundary_excluded
-        csvs[f"localization_{name}.csv"] = eval_result_csv(loc, ctx.vocab)
-        csvs[f"boundary_excluded_{name}.csv"] = eval_result_csv(bex, ctx.vocab)
+        csvs[f"localization_{name}.csv"] = _eval_table(loc, ctx.vocab)
+        csvs[f"boundary_excluded_{name}.csv"] = _eval_table(bex, ctx.vocab)
         ev["localization_map"] = loc.mean_ap
         ev["boundary_excluded_map"] = bex.mean_ap
         ev["boundary_gain"] = bex.mean_ap - loc.mean_ap
@@ -369,7 +415,7 @@ def _evaluation(ctx):
 def _perfect_classifier(ctx):
     res = boundary_mod.perfect_classifier_eval(ctx.grid, ctx.labels)
     return ({"perfect_classifier_localization_map": res.mean_ap},
-            {"perfect_classifier_localization.csv": eval_result_csv(res, ctx.vocab)})
+            {"perfect_classifier_localization.csv": _eval_table(res, ctx.vocab)})
 
 
 def _agreement(ctx):
@@ -377,7 +423,11 @@ def _agreement(ctx):
         return {"agreement": "skipped: no re-annotations"}, {}
     records, summary = boundary_mod.agreement(ctx.reannotations, ctx.test,
                                               ctx.config.permutations, ctx.config.seed)
-    return {"agreement": summary}, {"agreement.csv": boundary_mod.agreement_csv(records)}
+    table = _table(("video_id", "class_id", "iou", "iou_noboundary", "start_err",
+                    "end_err", "center_cov"),
+                   [(r.video_id, r.category, r.iou, r.boundary_excluded_iou,
+                     r.start_error, r.end_error, r.center_covered) for r in records])
+    return {"agreement": summary}, {"agreement.csv": table}
 
 
 def _error_types(ctx):
@@ -387,7 +437,8 @@ def _error_types(ctx):
             breakdown[name] = "skipped: no frame predictions"
             continue
         bd = erroranalysis.classify_top_items(m.items, ctx.keep, ctx.vocab)
-        csvs[f"errors_{name}.csv"] = bd.to_csv(ctx.vocab)
+        csvs[f"errors_{name}.csv"] = _per_class(
+            ctx.vocab, dict(zip(erroranalysis.LABELS, bd.fractions.T)))
         means = np.nanmean(bd.fractions[bd.mask], axis=0) if bd.mask.any() else \
             np.full(len(erroranalysis.LABELS), np.nan)
         breakdown[name] = dict(zip(erroranalysis.LABELS, [float(v) for v in means]))
@@ -398,7 +449,7 @@ def _confusion(ctx):
     confusion, csvs = {}, {}
     for name, m in ctx.methods.items():
         conf = erroranalysis.score_confusion(m.scores, ctx.labels)
-        csvs[f"confusion_{name}.csv"] = erroranalysis.confusion_csv(conf, ctx.vocab)
+        csvs[f"confusion_{name}.csv"] = _matrix_table(conf, ctx.vocab)
         confusion[name] = {"mean_offdiag": float(np.nanmean(conf))}
     return {"confusion": confusion}, csvs
 
@@ -406,8 +457,10 @@ def _confusion(ctx):
 def _attributes(ctx):
     return ({"category_attributes": "see category_attributes.csv",
              "video_attributes": "see video_attributes.csv"},
-            {"category_attributes.csv": attr_mod.category_attributes_csv(ctx.category_table),
-             "video_attributes.csv": attr_mod.video_attributes_csv(ctx.video_table)})
+            {"category_attributes.csv": _attribute_table("class_id", CATEGORY_ATTRS,
+                                                         ctx.category_table),
+             "video_attributes.csv": _attribute_table("video_id", VIDEO_ATTRS,
+                                                      ctx.video_table)})
 
 
 def _correlations(ctx):
@@ -426,7 +479,9 @@ def _correlations(ctx):
                      and (v := getattr(ctx.category_table[cat.id], attr)) is not None]
             if len(pairs) >= c.bins:
                 curve = stats_mod.bin_by_attribute(pairs, c.bins)
-                csvs[f"curve_{name}_{attr}.csv"] = curve.to_csv()
+                csvs[f"curve_{name}_{attr}.csv"] = _table(
+                    ("x_center", "y_mean", "y_std", "n"),
+                    zip(curve.x_center, curve.y_mean, curve.y_std, curve.n))
                 curves[f"{name}:{attr}"] = [
                     {"x_center": float(x), "y_mean": float(ym), "y_std": float(ys),
                      "n": int(n)}
@@ -481,7 +536,9 @@ def _smoothing(ctx):
         sweep = temporal_mod.sweep_items(m.frame, m.items, ctx.labels,
                                          ctx.config.sweep_fractions,
                                          m.localization, m.classification)
-        csvs[f"sweep_{name}.csv"] = sweep.to_csv()
+        csvs[f"sweep_{name}.csv"] = _table(("fraction", "loc_map", "cls_map"),
+                                           zip(sweep.fractions, sweep.loc_map,
+                                               sweep.cls_map))
         sweeps[name] = {"fractions": sweep.fractions, "loc_map": sweep.loc_map,
                         "cls_map": sweep.cls_map, "best_fraction": sweep.best_fraction}
     return {"smoothing_sweep": sweeps}, csvs
@@ -490,9 +547,9 @@ def _smoothing(ctx):
 def _context_benefit(ctx):
     benefit, csvs = {}, {}
     for name, m in ctx.methods.items():
-        cb = temporal_mod.score_context_benefit(m.scores, ctx.labels)
-        csvs[f"context_{name}.csv"] = cb.to_csv(ctx.vocab)
-        benefit[name] = {"mean_count": float(cb.counts.mean()), "margin": 0.0}
+        counts = temporal_mod.score_context_benefit(m.scores, ctx.labels)
+        csvs[f"context_{name}.csv"] = _per_class(ctx.vocab, {"count": counts})
+        benefit[name] = {"mean_count": float(counts.mean()), "margin": 0.0}
     return {"context_benefit": benefit}, csvs
 
 
@@ -501,7 +558,7 @@ def _overlap(ctx):
         return {"overlap": "skipped: no training annotations"}, {}
     ov = temporal_mod.overlap_stats(ctx.train, ctx.vocab)
     return ({"overlap": {"mean_offdiag": float(np.nanmean(ov))}},
-            {"overlap.csv": erroranalysis.confusion_csv(ov, ctx.vocab)})
+            {"overlap.csv": _matrix_table(ov, ctx.vocab)})
 
 
 def _oracles(ctx):
@@ -547,10 +604,10 @@ def _oracles(ctx):
             combined = oracle_mod.combine(preds, sub)
             sec["combined"][f"{oname}+{mname}"] = classification_map(combined, test,
                                                                      vocab).mean_ap
-    rows = ["oracle,map"] + [f"{k},{v!r}" for k, v in sec["single"].items()
-                             if not isinstance(v, str)]
-    rows += ["combination,map"] + [f"{k},{v!r}" for k, v in sec["combined"].items()]
-    csvs["oracle_eval.csv"] = "\n".join(rows) + "\n"
+    csvs["oracle_eval.csv"] = (
+        _table(("oracle", "map"), [(k, v) for k, v in sec["single"].items()
+                                   if not isinstance(v, str)])
+        + _table(("combination", "map"), sec["combined"].items()))
     return {"oracles": sec}, csvs
 
 
@@ -582,10 +639,10 @@ def _report(ctx):
         report.update(fragment)
         csvs.update(tables)
     report["suggestions"] = suggest(report)
-    csvs["suggestions.csv"] = "\n".join(
-        ["rule,method,triggered,text"]
-        + [f"{r['rule']},{r['method']},{int(r['triggered'])},\"{r['text']}\""
-           for r in report["suggestions"]]) + "\n"
+    csvs["suggestions.csv"] = _table(
+        ("rule", "method", "triggered", "text"),
+        [(r["rule"], r["method"], int(r["triggered"]), f'"{r["text"]}"')
+         for r in report["suggestions"]])
     _write_bundle(c.out, report, csvs)
     return report
 

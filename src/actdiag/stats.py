@@ -17,12 +17,6 @@ class BinnedCurve:
     y_std: np.ndarray
     n: np.ndarray
 
-    def to_csv(self):
-        lines = ["x_center,y_mean,y_std,n"]
-        for xc, ym, ys, n in zip(self.x_center, self.y_mean, self.y_std, self.n):
-            lines.append(f"{float(xc)!r},{float(ym)!r},{float(ys)!r},{int(n)}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class CorrelationResult:

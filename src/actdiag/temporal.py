@@ -47,12 +47,6 @@ class SmoothingSweepResult:
     cls_map: list
     best_fraction: float
 
-    def to_csv(self):
-        lines = ["fraction,loc_map,cls_map"]
-        for f, lm, cm in zip(self.fractions, self.loc_map, self.cls_map):
-            lines.append(f"{f!r},{lm!r},{cm!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _maxpool_predictions(frame_preds):
     return [VideoPredictions(p.video_id, p.scores.max(axis=0)) for p in frame_preds]
@@ -93,22 +87,11 @@ def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):
                                 fractions[int(np.argmax(loc_maps))])
 
 
-@dataclass
-class ContextBenefit:
-    counts: np.ndarray      # (C,) how many other actions raise this one
-
-    def to_csv(self, vocab):
-        lines = ["class_id,count"]
-        for i, cat in enumerate(vocab.categories):
-            lines.append(f"{cat.id},{int(self.counts[i])}")
-        return "\n".join(lines) + "\n"
-
-
 def score_context_benefit(scores, labels):
-    """For each action a: how many actions b != a whose presence raises a's
-    mean video-level score, over a (V, C) score matrix and its (V, C)
-    labels. Pairs where either side of the presence split is empty are
-    skipped."""
+    """(C,) counts: for each action a, how many actions b != a whose
+    presence raises a's mean video-level score, over a (V, C) score matrix
+    and its (V, C) labels. Pairs where either side of the presence split is
+    empty are skipped."""
     n_with = labels.sum(axis=0).astype(float)              # (B,)
     n_without = labels.shape[0] - n_with
     sum_with = scores.T @ labels                           # (A, B)
@@ -119,7 +102,7 @@ def score_context_benefit(scores, labels):
     valid = (n_with > 0) & (n_without > 0)
     gain = np.where(valid[None, :], mean_with - mean_without, -np.inf)
     np.fill_diagonal(gain, -np.inf)
-    return ContextBenefit((gain > 0).sum(axis=1))
+    return (gain > 0).sum(axis=1)
 
 
 def overlap_stats(annotations, vocab):

@@ -5,11 +5,9 @@ import pytest
 
 from actdiag import attributes
 from actdiag.attributes import (AlignmentError, align_pose,
-                                category_attributes, category_attributes_csv,
-                                complexity_counts,
+                                category_attributes, complexity_counts,
                                 pose_variability, poses_by_category,
-                                procrustes_distance, video_attributes,
-                                video_attributes_csv)
+                                procrustes_distance, video_attributes)
 from actdiag.corpus import (ActivityInstance, AuxiliaryRecord,
                             VideoAnnotation, load_vocabulary)
 
@@ -288,12 +286,3 @@ def test_video_attributes():
     assert v1.mean_motion == pytest.approx(2.0)
     v2 = table["V2"]
     assert v2.person_size is None and v2.multi_person is None
-
-
-def test_attribute_csvs_round_shape():
-    table = category_attributes(VOCAB, _train())
-    csv = category_attributes_csv(table)
-    assert len(csv.splitlines()) == len(VOCAB) + 1
-    vtable = video_attributes(_train())
-    vcsv = video_attributes_csv(vtable)
-    assert len(vcsv.splitlines()) == 3

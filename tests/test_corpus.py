@@ -34,6 +34,19 @@ def test_vocabulary_duplicate_id_cites_line():
         load_vocabulary(bad)
 
 
+@pytest.mark.parametrize("cid", ['"c,0"', '"c""0"', '"c 0"', '"c\t0"'])
+def test_vocabulary_rejects_an_id_no_table_can_carry(cid):
+    with pytest.raises(CorpusError, match="line 3: class_id .* comma"):
+        load_vocabulary(VOCAB.replace("c001,", f"{cid},"))
+
+
+@pytest.mark.parametrize("vid", ['"V,1"', '"V""1"', '"V 1"', '"V\n1"'])
+def test_annotations_reject_an_id_no_table_can_carry(vid):
+    v = load_vocabulary(VOCAB)
+    with pytest.raises(CorpusError, match="line 2: video_id .* comma"):
+        load_annotations(f"V0,30.0,\n{vid},30.0,c000 1 2\n", v)
+
+
 def test_load_annotations_basic():
     v = load_vocabulary(VOCAB)
     anns = load_annotations("VID01,30.0,c000 2.0 5.5;c001 4.0 9.0\n", v)

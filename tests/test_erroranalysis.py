@@ -4,8 +4,7 @@ import pytest
 from actdiag.corpus import (ActivityInstance, FramePredictions,
                             VideoAnnotation, load_vocabulary)
 from actdiag.erroranalysis import (LABELS, classify_top_items,
-                                   classify_top_predictions, confusion_csv,
-                                   score_confusion)
+                                   classify_top_predictions, score_confusion)
 from actdiag.metrics import LocalizationItems, labels_matrix
 
 VOCAB = load_vocabulary("""class_id,verb_id,object_id,description
@@ -176,13 +175,4 @@ def test_cross_confusion_hand():
     assert np.isnan(mat[0, 0])
     # no video contains c003, so column 3 is undefined
     assert np.all(np.isnan(mat[:, 3]))
-
-
-def test_confusion_csv_shape():
-    anns = [ann("V1", 10.0, ("c000", 0.0, 5.0))]
-    scores = np.array([[0.5, 0.1, 0.2, 0.3]])
-    csv = confusion_csv(score_confusion(scores, labels_matrix(anns, VOCAB)), VOCAB)
-    lines = csv.splitlines()
-    assert lines[0] == "class_id,c000,c001,c002,c003"
-    assert len(lines) == len(VOCAB) + 1
 

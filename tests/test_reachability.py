@@ -1,6 +1,7 @@
-"""Every public top-level function and class of the package is reached by
-the package itself or by the acceptance suite; code reached only by its own
-unit tests is deleted rather than kept."""
+"""Every public top-level function and class of the package, and every
+public method and property of a public class, is reached by the package
+itself or by the acceptance suite; code reached only by its own unit tests
+is deleted rather than kept. Dunder methods are exempt."""
 
 import ast
 import pathlib
@@ -22,8 +23,13 @@ def test_every_public_definition_is_used():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = [f"{path.stem}.{node.name}"
+    public = [(f"{path.stem}.{node.name}", node)
               for path, tree in modules.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in used]
+              and not node.name.startswith("_")]
+    members = [(f"{name}.{member.name}", member)
+               for name, node in public if isinstance(node, ast.ClassDef)
+               for member in node.body if isinstance(member, ast.FunctionDef)
+               and not member.name.startswith("_")]
+    unused = [name for name, node in public + members if node.name not in used]
     assert unused == []

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -143,6 +145,81 @@ def test_run_report_deterministic(tmp_path):
         with open(os.path.join(a_dir, f), "rb") as fa, \
              open(os.path.join(b_dir, f), "rb") as fb:
             assert fa.read() == fb.read(), f
+
+
+def test_report_bundle_does_not_depend_on_the_hash_seed(tmp_path):
+    # the in-process determinism tests share one hash seed, so an output
+    # that follows set order would pass them
+    paths = _write_corpus(tmp_path)
+    src = pathlib.Path(report_mod.__file__).resolve().parent.parent
+    bundles = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"hash{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        subprocess.run(
+            [sys.executable, "-m", "actdiag.report", "report",
+             "--vocab", paths["vocab.csv"], "--test", paths["test.csv"],
+             "--train", paths["train.csv"], "--pred", f"cnn={paths['cnn']}",
+             "--pred", f"svm={paths['svm']}", "--aux", paths["aux"],
+             "--reannotations", paths["reann.csv"], "--bootstrap", "200",
+             "--out", str(out)], env=env, check=True, capture_output=True)
+        bundles.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert bundles[0].keys() == bundles[1].keys()
+    for name in bundles[0]:
+        assert bundles[0][name] == bundles[1][name], name
+
+
+@pytest.mark.parametrize("value, cell", [
+    (None, ""), (True, "True"), (np.bool_(False), "False"), (7, "7"),
+    (np.int64(-3), "-3"), (0.1, "0.1"), (np.float64(1 / 3), repr(1 / 3)),
+    (np.float32(0.5), "0.5"), (float("nan"), "nan"), (np.float64("-inf"), "-inf"),
+    ("c000", "c000")])
+def test_table_formats_each_cell_by_one_rule(value, cell):
+    assert report_mod._table(("id", "value"), [("x", value)]) == f"id,value\nx,{cell}\n"
+
+
+def test_table_of_no_rows_is_its_header():
+    assert report_mod._table(("a", "b"), []) == "a,b\n"
+    with pytest.raises(TypeError, match="list"):
+        report_mod._table(("a",), [([1],)])
+
+
+def test_bundle_tables_parse_with_every_row_as_wide_as_its_header(tmp_path):
+    paths = _write_corpus(tmp_path)
+    config = _config(tmp_path, paths, bins=2)
+    run_report(config)
+    ids = "c000,c001,c002,c003"
+    headers = {
+        "classification_cnn.csv": "class_id,ap,n_pos,n_neg",
+        "perfect_classifier_localization.csv": "class_id,ap,n_pos,n_neg",
+        "agreement.csv": "video_id,class_id,iou,iou_noboundary,start_err,end_err,center_cov",
+        "errors_cnn.csv": "class_id,tp,bnd,obj,vrb,oth,fp",
+        "confusion_svm.csv": f"class_id,{ids}",
+        "overlap.csv": f"class_id,{ids}",
+        "category_attributes.csv": "class_id," + ",".join(report_mod.CATEGORY_ATTRS),
+        "video_attributes.csv": "video_id," + ",".join(report_mod.VIDEO_ATTRS),
+        "curve_cnn_train_examples.csv": "x_center,y_mean,y_std,n",
+        "sweep_cnn.csv": "fraction,loc_map,cls_map",
+        "context_svm.csv": "class_id,count",
+        "oracle_eval.csv": "oracle,map",
+        "suggestions.csv": "rule,method,triggered,text"}
+    tables = {}
+    for name in sorted(os.listdir(config.out)):
+        if name.endswith(".csv"):
+            with open(os.path.join(config.out, name), newline="") as f:
+                rows = list(csv.reader(f))
+            assert all(len(row) == len(rows[0]) for row in rows), name
+            tables[name] = rows
+    for name, header in headers.items():
+        assert ",".join(tables[name][0]) == header, name
+    for name in ("classification_cnn.csv", "errors_cnn.csv", "confusion_svm.csv",
+                 "category_attributes.csv", "context_svm.csv"):
+        assert [row[0] for row in tables[name][1:]] == ids.split(","), name
+    assert len(tables["video_attributes.csv"]) == 7
+    assert {row[3] for row in tables["video_attributes.csv"][1:]} == {"False"}
+    assert ["combination", "map"] in tables["oracle_eval.csv"]
+    with open(os.path.join(config.out, "suggestions.csv")) as f:
+        assert all(line.endswith('"\n') for line in list(f)[1:])
 
 
 def test_run_report_worker_count_does_not_change_output(tmp_path):
