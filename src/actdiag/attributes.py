@@ -34,11 +34,16 @@ def _centred(xy, shared):
     """Stacked (P, K, 2) keypoints minus the mean of each configuration's
     shared keypoints, and the norm of the shared part. Every sum runs over
     the keypoint axis in index order (a non-shared keypoint adds 0), the
-    order of one configuration's own mean."""
+    order of one configuration's own mean. A norm within the mean's rounding
+    error, (m + 1) * sqrt(2m) ulps of the largest coordinate of the m shared
+    keypoints, is 0: that configuration is one point."""
     w = shared[..., None]
-    mean = (xy * w).sum(axis=1) / np.maximum(shared.sum(axis=1), 1)[:, None]
-    centred = xy - mean[:, None]
-    return centred, np.sqrt(((centred * w) ** 2).sum(axis=1).sum(axis=1))
+    m = np.maximum(shared.sum(axis=1), 1)
+    centred = xy - ((xy * w).sum(axis=1) / m[:, None])[:, None]
+    norm = np.sqrt(((centred * w) ** 2).sum(axis=1).sum(axis=1))
+    noise = (m + 1) * np.sqrt(2 * m) * np.finfo(float).eps * np.abs(xy * w).max(
+        axis=(1, 2), initial=0.0)
+    return centred, np.where(norm > noise, norm, 0.0)
 
 
 def _fit_similarity(a, b):
@@ -162,12 +167,17 @@ def complexity_counts(vocab):
     return obj[vocab.object_of] - 1, verb[vocab.verb_of] - 1
 
 
+def _by_video(records):
+    """video_id -> its records, in input order."""
+    out = {}
+    for r in records:
+        out.setdefault(r.video_id, []).append(r)
+    return out
+
+
 def poses_by_category(annotations, auxiliary, vocab):
     """Group auxiliary poses by the categories active at their frame time."""
-    by_vid = {}
-    for r in auxiliary:
-        if r.pose is not None:
-            by_vid.setdefault(r.video_id, []).append(r)
+    by_vid = _by_video(r for r in auxiliary if r.pose is not None)
     out = {c.id: [] for c in vocab.categories}
     for ann in annotations:
         for r in by_vid.get(ann.video_id, ()):
@@ -193,10 +203,7 @@ def category_attributes(vocab, train_annotations, auxiliary=None, seed=0):
     extents = [[] for _ in range(n)]
     motion_sum = np.zeros(n)
     motion_cnt = np.zeros(n, dtype=int)
-
-    aux_by_vid = {}
-    for r in auxiliary or ():
-        aux_by_vid.setdefault(r.video_id, []).append(r)
+    aux_by_vid = _by_video(auxiliary or ())
 
     for ann in train_annotations:
         present = sorted({vocab.index[i.category] for i in ann.instances})
@@ -237,9 +244,7 @@ def category_attributes(vocab, train_annotations, auxiliary=None, seed=0):
 
 def video_attributes(annotations, auxiliary=None):
     """Per-video attribute table (person size from auxiliary boxes)."""
-    aux_by_vid = {}
-    for r in auxiliary or ():
-        aux_by_vid.setdefault(r.video_id, []).append(r)
+    aux_by_vid = _by_video(auxiliary or ())
     table = {}
     for ann in annotations:
         recs = aux_by_vid.get(ann.video_id, [])

@@ -122,16 +122,12 @@ def agreement(reference, reannotation, permutations=10000, seed=0):
                     boundary_excluded_iou(r, o, ann.duration),
                     abs(o.start - r.start), abs(o.end - r.end), cov,
                     True, r.end - r.start))
-            for ri, r in enumerate(refs):
-                if ri not in used_r:
-                    records.append(AgreementRecord(
-                        ann.video_id, cat, 0.0, 0.0, float("nan"),
-                        float("nan"), 0.0, False, r.end - r.start))
-            for oi, o in enumerate(others):
-                if oi not in used_o:
-                    records.append(AgreementRecord(
-                        ann.video_id, cat, 0.0, 0.0, float("nan"),
-                        float("nan"), 0.0, False, o.end - o.start))
+            unmatched = ([r for ri, r in enumerate(refs) if ri not in used_r]
+                         + [o for oi, o in enumerate(others) if oi not in used_o])
+            for r in unmatched:
+                records.append(AgreementRecord(
+                    ann.video_id, cat, 0.0, 0.0, float("nan"),
+                    float("nan"), 0.0, False, r.end - r.start))
     summary = _agreement_summary(records, permutations, seed)
     return records, summary
 

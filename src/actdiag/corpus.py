@@ -156,13 +156,15 @@ def _open(text):
 
 
 def _csv_rows(text):
-    """(line number, row) of each CSV row, numbered from 1; a row the csv
-    module cannot read is a CorpusError."""
+    """(line number, row) of each CSV row: the physical line, from 1, where
+    the row starts (a quoted field may span lines); a row the csv module
+    cannot read is a CorpusError."""
     reader = csv.reader(_open(text))
-    ln = 0
+    ln = 0   # the last line of the rows read so far
     try:
-        for ln, row in enumerate(reader, start=1):
-            yield ln, row
+        for row in reader:
+            yield ln + 1, row
+            ln = reader.line_num
     except csv.Error as e:
         raise CorpusError(f"bad CSV: {e}", ln + 1) from None
 
@@ -175,16 +177,12 @@ def _check_id(value, what, ln):
 
 def load_vocabulary(text):
     """Parse vocabulary.csv into a Vocabulary."""
-    rows = [row for _, row in _csv_rows(text)]
-    if not rows:
-        raise CorpusError("empty vocabulary")
-    start = 0
-    if rows[0] and rows[0][0].strip().lower() == "class_id":
-        start = 1
     categories = []
     seen = {}
-    for ln, row in enumerate(rows[start:], start=start + 1):
+    for ln, row in _csv_rows(text):
         if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if ln == 1 and row[0].strip().lower() == "class_id":
             continue
         if len(row) < 3:
             raise CorpusError(f"expected class_id,verb_id,object_id[,description], got {row!r}", ln)

@@ -89,7 +89,7 @@ def _ranked_ap(cw_end, wpos, last, total, n_pos, n_neg):
     report._resample_maps (the bootstrap and the video curves) from a
     float32 GEMM (exact below 2**24) for every class and a block of weight
     rows at once. The sum over positives
-    is numpy's pairwise sum for one list and left to right (cumsum) for a
+    is numpy's pairwise sum for one list and left to right (_sum_rows) for a
     batch, so a list's AP does not depend on the batch it is in."""
     wpos = np.asarray(wpos, dtype=float)
     cwp = np.cumsum(wpos, axis=0)
@@ -103,8 +103,17 @@ def _ranked_ap(cw_end, wpos, last, total, n_pos, n_neg):
     den = num + fp_rate * n_neg
     prec = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     prec *= wpos
-    psum = prec.sum() if prec.ndim == 1 else np.cumsum(prec, axis=0)[-1]
+    psum = prec.sum() if prec.ndim == 1 else _sum_rows(prec)
     return np.where(ftot == 0, 1.0, psum / p_div), ptot > 0
+
+
+def _sum_rows(a):
+    """np.cumsum(a, axis=0)[-1] without the prefix array: the rows added left
+    to right (a.sum(axis=0) adds pairwise when a row holds one entry)."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
 
 
 def normalized_ap(scores, positives, consts):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributes import AlignmentError, align_pose, _confident
+from .attributes import AlignmentError, align_pose, _by_video, _confident
 from .corpus import VideoPredictions
 from .metrics import frame_labels, labels_matrix, sample_times
 
@@ -196,38 +196,34 @@ def spectral_cluster(vectors, k, seed=0):
     (assignments, degenerate_flag); degenerate means all vectors were
     identical and everything landed in cluster 0."""
     vectors = np.asarray(vectors, dtype=float)
+    if (vectors < 0).any():
+        raise ValueError("spectral clustering needs nonnegative vectors")
     norms = np.linalg.norm(vectors, axis=1)
     assign = np.full(len(vectors), k, dtype=int)
-    live = norms > 0
-    idx = np.flatnonzero(live)
+    idx = np.flatnonzero(norms > 0)
     if len(idx) == 0:
         return assign, True
     unit = vectors[idx] / norms[idx, None]
     if len(idx) < k:
         raise ValueError(f"only {len(idx)} nonzero vectors for k={k}")
-    affinity = np.clip(unit @ unit.T, 0.0, 1.0)
-    if np.allclose(affinity, 1.0):
+    if np.allclose(unit, unit[0]):
         assign[idx] = 0
         return assign, True
-    deg = affinity.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    norm_aff = affinity * inv_sqrt[:, None] * inv_sqrt[None, :]
-    # k largest eigenvectors of the normalized affinity = k smallest of L;
-    # scipy is imported here so that only runs which cluster pay for it
-    import scipy.linalg
-    import scipy.sparse.linalg
-    if len(idx) > 500:
-        _, vecs = scipy.sparse.linalg.eigsh(norm_aff, k=k, which="LA",
-                                            v0=np.ones(len(idx)))
-    else:
-        _, vecs = scipy.linalg.eigh(norm_aff,
-                                    subset_by_index=[len(idx) - k, len(idx) - 1])
+    vecs = _spectral_embedding(unit, k)
     row_norm = np.linalg.norm(vecs, axis=1)
     row_norm[row_norm == 0] = 1.0
-    embed = vecs / row_norm[:, None]
-    _, labels = kmeans(embed, k, seed)
-    assign[idx] = labels
+    _, assign[idx] = kmeans(vecs / row_norm[:, None], k, seed)
     return assign, False
+
+
+def _spectral_embedding(unit, k):
+    """(n, k) top eigenvectors, in ascending eigenvalue order, of the
+    normalized affinity D^-1/2 U U^T D^-1/2 of nonnegative unit rows U, D
+    its row sums. That matrix is B B^T with B = D^-1/2 U, so they are B's k
+    leading left singular vectors: one (n, C) SVD, no n x n matrix."""
+    deg = unit @ unit.sum(axis=0)
+    u, _, _ = np.linalg.svd(unit / np.sqrt(deg)[:, None], full_matrices=k > unit.shape[1])
+    return u[:, k - 1::-1]
 
 
 @dataclass
@@ -342,10 +338,7 @@ def pose_oracle(clusters, annotations, auxiliary, vocab):
     the max over posed frames, the prior when a video has none. All the
     test frames are aligned by one call, and those that align are
     assigned by one blocked distance call."""
-    by_vid = {}
-    for r in auxiliary:
-        if r.pose is not None:
-            by_vid.setdefault(r.video_id, []).append(r)
+    by_vid = _by_video(r for r in auxiliary if r.pose is not None)
     poses, owner = [], []
     for i, ann in enumerate(annotations):
         for r in by_vid.get(ann.video_id, ()):

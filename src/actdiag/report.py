@@ -278,9 +278,8 @@ def _resample_maps(scores, labels, weights):
         w = weights[block].T.copy()                          # (n, resamples)
         ap, live = metrics._ranked_ap((step @ w)[rows], w[items] * real, last,
                                       total[block], npos[block], nneg[block])
-        # cumsum adds left to right in class order
         n_live = live.sum(axis=0)
-        np.divide(np.cumsum(np.where(live, ap, 0.0), axis=0)[-1], n_live,
+        np.divide(metrics._sum_rows(np.where(live, ap, 0.0)), n_live,   # in class order
                   out=maps[block], where=n_live > 0)
     return maps
 

@@ -19,15 +19,13 @@ def smooth_predictions(preds, window_fraction, duration):
     """
     if not 0 <= window_fraction <= 1:
         raise ValueError(f"window_fraction {window_fraction} outside [0, 1]")
-    if window_fraction == 0 or len(preds.frame_times) < 2:
-        return FramePredictions(preds.video_id, preds.frame_times.copy(),
-                                preds.scores.copy())
-    period = float(np.median(np.diff(preds.frame_times)))
-    w = int(round(window_fraction * duration / period))
-    if w % 2 == 0:
-        w += 1 if w < window_fraction * duration / period else -1
-    w = max(w, 1)
-    if w == 1:
+    w = 1
+    if window_fraction > 0 and len(preds.frame_times) >= 2:
+        period = float(np.median(np.diff(preds.frame_times)))
+        w = int(round(window_fraction * duration / period))
+        if w % 2 == 0:
+            w += 1 if w < window_fraction * duration / period else -1
+    if w <= 1:
         return FramePredictions(preds.video_id, preds.frame_times.copy(),
                                 preds.scores.copy())
     half = w // 2

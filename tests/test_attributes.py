@@ -69,6 +69,18 @@ def test_procrustes_needs_two_shared_keypoints():
         procrustes_distance(a, b)
 
 
+def test_keypoints_at_one_inexact_point_do_not_align():
+    # the mean of three 0.1s rounds, so the centred norm is ~1e-17, not 0
+    point = np.array([[0.1, 0.1, 1.0]] * 3)
+    assert attributes._centred(point[None, :, :2], np.ones((1, 3), bool))[0].any()
+    with pytest.raises(AlignmentError, match="coincide"):
+        procrustes_distance(point, square_pose()[:3])
+    with pytest.raises(AlignmentError, match="coincide"):
+        procrustes_distance(square_pose()[:3], point)
+    _, ok = align_pose(np.stack([point, square_pose()[:3]]), square_pose()[:3])
+    assert ok.tolist() == [False, True]
+
+
 def test_align_pose_recovers_reference_shape():
     ref = square_pose()
     moved = transform(ref, angle=-1.1, scale=0.5, shift=(3.0, 3.0))

@@ -34,6 +34,21 @@ def test_vocabulary_duplicate_id_cites_line():
         load_vocabulary(bad)
 
 
+def test_vocabulary_errors_cite_physical_lines_after_a_multiline_field():
+    bad = 'class_id,verb_id,object_id,description\nc000,v00,o00,"two\nlines"\n' \
+          "c001,v01,o01,\nc000,v02,o02,dup\n"
+    with pytest.raises(CorpusError, match=r"line 5: duplicate .*first seen line 2\)"):
+        load_vocabulary(bad)
+
+
+def test_annotation_errors_cite_physical_lines_after_a_multiline_field():
+    v = load_vocabulary(VOCAB)
+    text = 'video_id,duration,actions\nV0,30.0,"c000 1 2;\nc001 3 4"\n\nV1,30.0,\nV0,30.0,\n'
+    assert [a.video_id for a in load_annotations(text.rsplit("V0", 1)[0], v)] == ["V0", "V1"]
+    with pytest.raises(CorpusError, match=r"line 6: duplicate .*first seen line 2\)"):
+        load_annotations(text, v)
+
+
 @pytest.mark.parametrize("cid", ['"c,0"', '"c""0"', '"c 0"', '"c\t0"'])
 def test_vocabulary_rejects_an_id_no_table_can_carry(cid):
     with pytest.raises(CorpusError, match="line 3: class_id .* comma"):

@@ -358,6 +358,18 @@ def _ref_resample_maps(scores, labels, weights):
     return maps
 
 
+def test_sum_rows_has_the_bits_of_the_last_prefix_sum():
+    # numpy's a.sum(axis=0) adds pairwise when the other axes hold one
+    # entry, which differs from the prefix sum for most of these draws
+    rng = np.random.default_rng(15)
+    for p in (9, 54):
+        for shape in ((p, 1, 1), (p, 157, 1), (p, 157, 32), (p, 1)):
+            for _ in range(30):
+                a = rng.random(shape)
+                got = metrics._sum_rows(a)
+                assert got.tobytes() == np.cumsum(a, axis=0)[-1].tobytes(), shape
+
+
 def _tie_heavy_lists(seed, n=60, n_classes=10):
     """Scores with one-decimal ties across positives and negatives, plus an
     all-positive class, a single positive, all-equal scores, mixed -0.0 and

@@ -240,13 +240,83 @@ def test_kmeans_memory_stays_below_the_full_distance_tensor():
     assert peak < 24e6, f"k-means peaked at {peak / 1e6:.1f} MB"
 
 
-def test_report_import_does_not_load_scipy():
-    code = ("import sys, actdiag.report; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _normalized_affinity(labels):
+    """The clipped normalized affinity D^-1/2 A D^-1/2 formed explicitly,
+    over the unit nonzero rows of labels."""
+    unit = labels[labels.any(axis=1)]
+    unit = unit / np.linalg.norm(unit, axis=1, keepdims=True)
+    aff = np.clip(unit @ unit.T, 0.0, 1.0)
+    inv_sqrt = 1.0 / np.sqrt(aff.sum(axis=1))
+    return unit, aff * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def test_spectral_embedding_spans_the_dense_top_eigenvectors():
+    rng = np.random.default_rng(13)
+    compared = 0
+    for n, c, k in ((40, 6, 3), (120, 20, 5), (150, 12, 12), (620, 30, 8), (700, 157, 30)):
+        labels = (rng.random((n, c)) < 3 / c).astype(float)
+        labels[n // 2:n // 2 + n // 5] = labels[:n // 5]        # duplicate label sets
+        unit, norm_aff = _normalized_affinity(labels)
+        vals, vecs = np.linalg.eigh(norm_aff)
+        if vals[-k] - vals[-k - 1] <= 1e-8:
+            continue
+        got = oracles._spectral_embedding(unit, k)
+        assert got.shape == (len(unit), k)
+        want = vecs[:, -k:]
+        assert np.abs(got @ got.T - want @ want.T).max() < 1e-10
+        # ascending eigenvalue order, as eigh gives them
+        assert np.allclose(np.einsum("ij,ij->j", got, norm_aff @ got), vals[-k:],
+                           atol=1e-10)
+        compared += 1
+    assert compared >= 4
+
+
+def test_spectral_embedding_with_more_clusters_than_classes():
+    rng = np.random.default_rng(14)
+    labels = (rng.random((30, 4)) < 0.5).astype(float)
+    unit, norm_aff = _normalized_affinity(labels)
+    got = oracles._spectral_embedding(unit, 6)
+    assert got.shape == (len(unit), 6)
+    assert np.allclose(got.T @ got, np.eye(6), atol=1e-10)
+    # the span holds every eigenvector of a nonzero eigenvalue
+    assert np.allclose(got @ (got.T @ norm_aff), norm_aff, atol=1e-10)
+    assign, degenerate = spectral_cluster(labels, 6, seed=0)
+    assert not degenerate and set(assign[labels.any(axis=1)]) <= set(range(6))
+
+
+def test_spectral_cluster_rejects_negative_vectors():
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectral_cluster(np.array([[1.0, 0.0], [0.5, -0.1], [0.0, 1.0]]), 2)
+
+
+def test_clustering_and_report_run_without_scipy(tmp_path):
+    vocab = "class_id,verb_id,object_id\nc0,v0,o0\nc1,v1,o1\nc2,v0,o1\n"
+    train = [f"T{i},10.0,c{i % 2} 1 4;c2 5 9" for i in range(8)]
+    test = [f"V{i},10.0,c{i % 3} 1 4" for i in range(4)]
+    preds = [f"V{i} 0.{i} 0.5 0.{9 - i}" for i in range(4)]
+    for name, lines in (("vocab.csv", [vocab]), ("train.csv", train),
+                        ("test.csv", test), ("pred.txt", preds)):
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    code = f"""
+import sys
+sys.modules["scipy"] = None      # any scipy import fails
+import numpy as np
+from actdiag.oracles import spectral_cluster
+from actdiag.report import RunConfig, run_report
+rng = np.random.default_rng(0)
+for n in (40, 600):              # n <= 500 and n > 500
+    assign, _ = spectral_cluster(rng.random((n, 12)) < 0.3, 5)
+    assert assign.max() <= 5
+root = {str(tmp_path)!r}
+report = run_report(RunConfig(vocab=root + "/vocab.csv", test=root + "/test.csv",
+                              train=root + "/train.csv",
+                              predictions={{"cnn": root + "/pred.txt"}},
+                              out=root + "/out", intent_ks=(2,),
+                              bootstrap_resamples=50, permutations=50))
+assert isinstance(report["oracles"]["single"]["intent2"], float)
+"""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracles.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_spectral_cluster_planted_blocks():
