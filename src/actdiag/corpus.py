@@ -17,8 +17,8 @@ A class_id or video_id holds no comma, double quote or whitespace, so it
 fits one cell of a bundle table and one field of a predictions line.
 
 All loaders raise CorpusError with a line number on malformed input; nothing
-is silently dropped. Loaded structures are immutable-by-convention and safe
-to share across threads.
+is silently dropped. Loaded structures are immutable by convention: no
+function of the package modifies them, so one load serves every analysis.
 """
 
 import csv
@@ -492,8 +492,8 @@ def validate_corpus(annotations, predictions, auxiliary=None):
 
 # --- serialization (round-trip partner of the video-mode loader) ---
 
-def dump_video_predictions(preds):
-    lines = []
-    for p in preds:
-        lines.append(p.video_id + " " + " ".join(map(repr, p.scores.tolist())))
-    return "\n".join(lines) + "\n"
+def dump_video_predictions(video_ids, scores):
+    """Video-mode text of (C,) score rows, row v under video_ids[v]; a row
+    becomes Python floats only as its line is written."""
+    return "\n".join(f"{vid} " + " ".join(map(repr, row.tolist()))
+                     for vid, row in zip(video_ids, scores)) + "\n"

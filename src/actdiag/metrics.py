@@ -183,18 +183,14 @@ def aligned_predictions(preds, annotations, what="predictions"):
     return [by_id[a.video_id] for a in annotations]
 
 
-def aligned_scores(preds, annotations, what="predictions"):
-    """(V, C) scores of aligned_predictions."""
-    return np.stack([p.scores for p in aligned_predictions(preds, annotations, what)])
-
-
 def classification_map(preds, annotations, vocab):
     """Video-level mAP: a video is positive for class c iff it contains any
     instance of c.
 
     preds: list of VideoPredictions covering every annotated video.
     """
-    return per_class_eval(aligned_scores(preds, annotations),
+    rows = aligned_predictions(preds, annotations)
+    return per_class_eval(np.stack([p.scores for p in rows]),
                           labels_matrix(annotations, vocab))
 
 

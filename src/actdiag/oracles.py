@@ -4,10 +4,11 @@ predictions.
 Five oracles, each a lower bound on the value of one kind of ground-truth
 side information: the objects interacted with, the verbs executed, the
 neighboring activities in time, the video's intent cluster, and the pose
-cluster of each frame. Mask oracles emit {0,1} vectors; distribution
-oracles emit per-class scores in [0,1]. All outputs are lists of
-VideoPredictions so they can be written out and re-ingested like any
-method.
+cluster of each frame. Each oracle returns one (videos, classes) float
+array with a row per annotation, in annotation order: mask oracles emit
+{0,1} rows, distribution oracles per-class scores in [0,1]. combine is the
+list form of the combination with a method, kept for callers that hold
+VideoPredictions.
 """
 
 from dataclasses import dataclass
@@ -36,12 +37,11 @@ def verb_oracle(annotations, vocab):
 
 
 def _component_oracle(annotations, vocab, component_of):
-    out = []
-    for ann in annotations:
-        present = {component_of[vocab.index[i.category]] for i in ann.instances}
-        mask = np.isin(component_of, sorted(present)).astype(float)
-        out.append(VideoPredictions(ann.video_id, mask))
-    return out
+    """(V, C): 1 where a class's component is one of the video's instance
+    classes' components."""
+    present = labels_matrix(annotations, vocab) @ (
+        component_of[:, None] == np.arange(component_of.max() + 1))
+    return present[:, component_of].astype(float)
 
 
 @dataclass
@@ -106,31 +106,27 @@ def build_temporal_stats(annotations, vocab, samples_per_video=25):
                            next_counts)
 
 
-def apply_temporal_oracle(stats, annotation, vocab, samples_per_video=25):
-    """Frame score vector proportional to p(a|a_p) * p(a|a_n) with the
-    prior substituted for a missing side; video vector is the max over
-    frames."""
-    times = sample_times(annotation.duration, samples_per_video)
-    frames = np.empty((len(times), len(vocab)))
-    for i, t in enumerate(times):
-        prev, nxt = _neighbors(annotation, vocab, t)
-        p = stats.prior if prev is None else stats.cond_prev[prev]
-        q = stats.prior if nxt is None else stats.cond_next[nxt]
-        frames[i] = p * q
-    return VideoPredictions(annotation.video_id, frames.max(axis=0))
-
-
 def temporal_oracle(stats, annotations, vocab, samples_per_video=25):
-    return [apply_temporal_oracle(stats, a, vocab, samples_per_video)
-            for a in annotations]
+    """(V, C): per video, the max over its sampled frames of
+    p(a|a_p) * p(a|a_n), with the prior substituted for a missing side."""
+    out = np.empty((len(annotations), len(vocab)))
+    for v, ann in enumerate(annotations):
+        frames = []
+        for t in sample_times(ann.duration, samples_per_video):
+            prev, nxt = _neighbors(ann, vocab, t)
+            frames.append((stats.prior if prev is None else stats.cond_prev[prev])
+                          * (stats.prior if nxt is None else stats.cond_next[nxt]))
+        out[v] = np.max(frames, axis=0)
+    return out
 
 
 def kmeans(points, k, seed=0):
     """Lloyd k-means with seeded greedy spreading (k-means++) init.
 
     Returns (centroids, assignments). The objective is checked to be
-    non-increasing every iteration; empty clusters are re-seeded with the
-    point farthest from its centroid."""
+    non-increasing every iteration. The empty clusters of an iteration are
+    re-seeded, in cluster order, with _far_points; one left without a
+    point keeps its centroid."""
     points = np.asarray(points, dtype=float)
     n = len(points)
     if not 1 <= k <= n:
@@ -158,11 +154,11 @@ def kmeans(points, k, seed=0):
         order = np.argsort(assign, kind="stable")
         members = points[order]
         bounds = np.searchsorted(assign[order], np.arange(k + 1))
-        far = points[nearest.argmax()]
+        seeds = _far_points(points, nearest)   # runs on an empty cluster's next()
         moved = 0.0
         for j in range(k):
             lo, hi = bounds[j], bounds[j + 1]
-            new = members[lo:hi].mean(axis=0) if hi > lo else far
+            new = members[lo:hi].mean(axis=0) if hi > lo else next(seeds, centroids[j])
             moved = max(moved, float(np.linalg.norm(new - centroids[j])))
             centroids[j] = new
         if moved < KMEANS_TOL:
@@ -170,6 +166,16 @@ def kmeans(points, k, seed=0):
         prev_obj = obj
     assign = _sq_dists(points, centroids).argmin(axis=1)
     return centroids, assign
+
+
+def _far_points(points, nearest):
+    """Yield the distinct points at positive distance from their nearest
+    centroid (`nearest`, squared), farthest first, ties in index order; as
+    none equals a centroid, none collides with a kept cluster."""
+    order = np.argsort(-nearest, kind="stable")
+    order = order[nearest[order] > 0]
+    _, first = np.unique(points[order], axis=0, return_index=True)
+    yield from points[order[np.sort(first)]]
 
 
 def _sq_dists(points, centroids):
@@ -254,22 +260,19 @@ def _cluster_means(labels, assign, k):
 
 
 def intent_oracle(clusters, annotations, vocab):
-    """Assign each test video's ground-truth label vector to the nearest
-    cluster by cosine similarity and emit that cluster's distribution;
-    zero-label videos fall back to the prior."""
+    """(V, C): each test video's ground-truth label vector is assigned to the
+    nearest cluster by cosine similarity, one row at a time, and gets that
+    cluster's distribution; zero-label videos get the prior."""
     labels = labels_matrix(annotations, vocab).astype(float)
-    out = []
-    cnorm = np.linalg.norm(clusters.distributions[:clusters.k], axis=1)
-    for ann, vec in zip(annotations, labels):
+    dists = clusters.distributions[:clusters.k]
+    cnorm = np.linalg.norm(dists, axis=1)
+    out = np.tile(clusters.prior, (len(labels), 1))
+    for row, vec in zip(out, labels):
         n = np.linalg.norm(vec)
-        if n == 0:
-            out.append(VideoPredictions(ann.video_id, clusters.prior.copy()))
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sim = (clusters.distributions[:clusters.k] @ vec) / (cnorm * n)
-        sim = np.nan_to_num(sim, nan=-1.0)
-        best = int(np.argmax(sim))
-        out.append(VideoPredictions(ann.video_id, clusters.distributions[best].copy()))
+        if n > 0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sim = (dists @ vec) / (cnorm * n)
+            row[:] = clusters.distributions[np.argmax(np.nan_to_num(sim, nan=-1.0))]
     return out
 
 
@@ -334,10 +337,10 @@ def build_pose_clusters(annotations, auxiliary, vocab, k=500, seed=0):
 
 
 def pose_oracle(clusters, annotations, auxiliary, vocab):
-    """Per frame, the nearest pose centroid's distribution; video vector is
-    the max over posed frames, the prior when a video has none. All the
-    test frames are aligned by one call, and those that align are
-    assigned by one blocked distance call."""
+    """(V, C): per frame, the nearest pose centroid's distribution; a
+    video's row is the max over its posed frames, the prior when it has
+    none. All the test frames are aligned by one call, and those that
+    align are assigned by one blocked distance call."""
     by_vid = _by_video(r for r in auxiliary if r.pose is not None)
     poses, owner = [], []
     for i, ann in enumerate(annotations):
@@ -352,33 +355,29 @@ def pose_oracle(clusters, annotations, auxiliary, vocab):
         nearest = _sq_dists(vecs, clusters.centroids).argmin(axis=1)
     frames = clusters.distributions[nearest]
     bounds = np.searchsorted(owner, np.arange(len(annotations) + 1))
-    out = []
-    for i, ann in enumerate(annotations):
-        lo, hi = bounds[i], bounds[i + 1]
-        scores = frames[lo:hi].max(axis=0) if hi > lo else clusters.prior.copy()
-        out.append(VideoPredictions(ann.video_id, scores))
+    out = np.empty((len(annotations), len(vocab)))
+    for v, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        out[v] = frames[lo:hi].max(axis=0) if hi > lo else clusters.prior
     return out
 
 
-def squash_scores(preds):
-    """Map raw per-class scores to (0, 1) with a logistic over per-class
+def squash_scores(scores):
+    """Map a (V, C) score array to (0, 1) with a logistic over per-class
     standardized scores; monotone per class, so rankings are preserved."""
-    scores = np.stack([p.scores for p in preds])
     mean = scores.mean(axis=0)
     std = scores.std(axis=0)
     std[std == 0] = 1.0
-    z = (scores - mean) / std
-    sq = 1.0 / (1.0 + np.exp(-z))
-    return [VideoPredictions(p.video_id, sq[i]) for i, p in enumerate(preds)]
+    return 1.0 / (1.0 + np.exp(-((scores - mean) / std)))
 
 
 def combine(oracle_preds, baseline_preds):
-    """Elementwise product of squashed baseline scores and oracle scores;
-    both sets must cover the same videos."""
+    """Elementwise product of squashed baseline scores and oracle scores,
+    as lists of VideoPredictions; both sets must cover the same videos."""
     o_ids = {p.video_id for p in oracle_preds}
     b_ids = {p.video_id for p in baseline_preds}
     if o_ids != b_ids:
         raise ValueError(f"video coverage mismatch: {sorted(o_ids ^ b_ids)[:10]}")
-    squashed = {p.video_id: p.scores for p in squash_scores(baseline_preds)}
+    squashed = dict(zip([p.video_id for p in baseline_preds],
+                        squash_scores(np.stack([p.scores for p in baseline_preds]))))
     return [VideoPredictions(p.video_id, p.scores * squashed[p.video_id])
             for p in oracle_preds]

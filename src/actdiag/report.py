@@ -34,7 +34,7 @@ from . import stats as stats_mod
 from . import temporal as temporal_mod
 from .corpus import (load_annotations, load_auxiliary, load_predictions,
                      load_vocabulary, validate_corpus, dump_video_predictions)
-from .metrics import classification_map, labels_matrix
+from .metrics import labels_matrix
 
 DEFAULT_SWEEP = (0.0, 0.01, 0.02, 0.04, 0.08, 0.16)
 DEFAULT_INTENT_KS = (30, 50)
@@ -112,15 +112,17 @@ class MethodResults:
     def __init__(self, ctx, name, path):
         self.ctx, self.name = ctx, name
         mode = "frame" if _is_frame_file(path) else "video"
-        preds = _load(path, load_predictions, ctx.vocab, mode)
-        self.frame = preds if mode == "frame" else None
-        self.video = preds if self.frame is None else temporal_mod._maxpool_predictions(preds)
+        self.preds = _load(path, load_predictions, ctx.vocab, mode)
+        self.frame = self.preds if mode == "frame" else None
 
     @cached_property
     def scores(self):
-        """(V, C) video scores in test-annotation order."""
-        return metrics.aligned_scores(self.video, self.ctx.test,
-                                      f"{self.name} predictions")
+        """(V, C) video scores in test-annotation order; a frame method's
+        row is the maximum over its video's frames."""
+        rows = metrics.aligned_predictions(self.preds, self.ctx.test,
+                                           f"{self.name} predictions")
+        return np.stack([p.scores if self.frame is None else p.scores.max(axis=0)
+                         for p in rows])
 
     @cached_property
     def classification(self):
@@ -207,11 +209,10 @@ BOOTSTRAP_BLOCK = 32   # resamples per GEMM; 64 raised a 360-video report's peak
 def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0):
     """Percentile bootstrap CI of classification mAP, resampling videos.
 
-    Draws the same resamples as stats.bootstrap_ci (one Generator per
-    (seed, index), up to 1 + stats.MAX_RETRIES draws until one holds a
-    labelled video, else the same ValueError) and takes, per resample, the
-    mAP of its video counts from _resample_maps, the one weighted-mAP
-    kernel, which the video curves also use.
+    Draws its resamples by stats.resample, as stats.bootstrap_ci does (a
+    resample that holds no labelled video is redrawn), and takes, per
+    resample, the mAP of its video counts from _resample_maps, the one
+    weighted-mAP kernel, which the video curves also use.
 
     GEMM form: the step matrix M (K, n) has one row per positive of every
     class, M[j, v] = 1 where video v scores at or above positive j in its
@@ -228,17 +229,16 @@ def bootstrap_map_ci(scores, labels, b=10000, level=0.95, seed=0):
     n = len(scores)
     if n >= 2 ** 24:
         raise ValueError("bootstrap needs fewer than 2**24 videos")
-    weights = np.empty((b, n), dtype=np.float32)
     has_label = labels.any(axis=1)
-    for i in range(b):
-        rng = np.random.default_rng((seed, i))
-        for _ in range(stats_mod.MAX_RETRIES + 1):
-            idx = rng.integers(0, n, n)
-            if has_label[idx].any():
-                break
-        else:
+
+    def counts(idx):
+        if not has_label[idx].any():
             raise ValueError("resample has no positive labels")
-        weights[i] = np.bincount(idx, minlength=n)
+        return np.bincount(idx, minlength=n)
+
+    weights = np.empty((b, n), dtype=np.float32)
+    for i in range(b):
+        weights[i] = stats_mod.resample(n, seed, i, counts)
     maps = _resample_maps(scores, labels, weights)
     alpha = (1 - level) / 2
     low, high = np.quantile(maps, [alpha, 1 - alpha])
@@ -383,7 +383,7 @@ def _attribute_table(key, attrs, table):
 # --- report sections: each maps the context to (report keys, CSV files) ---
 
 def _validation(ctx):
-    val = validate_corpus(ctx.test, {n: m.video for n, m in ctx.methods.items()},
+    val = validate_corpus(ctx.test, {n: m.preds for n, m in ctx.methods.items()},
                           ctx.aux)
     return {"validation": {"findings": val.findings,
                            "auxiliary_coverage": val.auxiliary_coverage}}, {}
@@ -563,13 +563,13 @@ def _overlap(ctx):
 def _oracles(ctx):
     c, vocab, test, train = ctx.config, ctx.vocab, ctx.test, ctx.train
     sec = {"single": {}, "combined": {}}
-    oracle_preds = {
+    oracle_scores = {   # name -> (V, C) rows in test order
         "object": oracle_mod.object_oracle(test, vocab),
         "verb": oracle_mod.verb_oracle(test, vocab),
     }
     if train is not None:
         stats = oracle_mod.build_temporal_stats(train, vocab, c.samples_per_video)
-        oracle_preds["temporal"] = oracle_mod.temporal_oracle(
+        oracle_scores["temporal"] = oracle_mod.temporal_oracle(
             stats, test, vocab, c.samples_per_video)
         nonzero = int((labels_matrix(train, vocab).sum(axis=1) > 0).sum())
         for k in c.intent_ks:
@@ -577,7 +577,7 @@ def _oracles(ctx):
                 sec["single"][f"intent{k}"] = "skipped: too few training videos"
                 continue
             clusters = oracle_mod.build_intent_clusters(train, vocab, k, c.seed)
-            oracle_preds[f"intent{k}"] = oracle_mod.intent_oracle(clusters, test, vocab)
+            oracle_scores[f"intent{k}"] = oracle_mod.intent_oracle(clusters, test, vocab)
         if (ctx.aux is not None
                 and len(oracle_mod.posed_frames(train, ctx.aux)) >= c.pose_k):
             try:
@@ -586,23 +586,21 @@ def _oracles(ctx):
             except attr_mod.AlignmentError as e:
                 sec["single"]["pose"] = f"skipped: {e}"
             else:
-                oracle_preds["pose"] = oracle_mod.pose_oracle(pc, test, ctx.aux, vocab)
+                oracle_scores["pose"] = oracle_mod.pose_oracle(pc, test, ctx.aux, vocab)
         else:
             sec["single"]["pose"] = "skipped: not enough posed frames"
     else:
         sec["single"]["temporal"] = "skipped: no training annotations"
 
-    test_ids = {a.video_id for a in test}
-    annotated = {name: [p for p in m.video if p.video_id in test_ids]
-                 for name, m in ctx.methods.items()}
+    squashed = {name: oracle_mod.squash_scores(m.scores) for name, m in ctx.methods.items()}
+    ids = [a.video_id for a in test]
     csvs = {}
-    for oname, preds in oracle_preds.items():
-        sec["single"][oname] = classification_map(preds, test, vocab).mean_ap
-        csvs[f"oracle_{oname}.preds"] = dump_video_predictions(preds)
-        for mname, sub in annotated.items():
-            combined = oracle_mod.combine(preds, sub)
-            sec["combined"][f"{oname}+{mname}"] = classification_map(combined, test,
-                                                                     vocab).mean_ap
+    for oname, scores in oracle_scores.items():
+        sec["single"][oname] = metrics.per_class_eval(scores, ctx.labels).mean_ap
+        csvs[f"oracle_{oname}.preds"] = dump_video_predictions(ids, scores)
+        for mname, sq in squashed.items():
+            sec["combined"][f"{oname}+{mname}"] = metrics.per_class_eval(
+                scores * sq, ctx.labels).mean_ap
     csvs["oracle_eval.csv"] = (
         _table(("oracle", "map"), [(k, v) for k, v in sec["single"].items()
                                    if not isinstance(v, str)])

@@ -1,8 +1,9 @@
 """Shared statistics: attribute binning for diagnostic curves, Pearson
 correlation with permutation p-values, and bootstrap percentile intervals.
 
-Randomized procedures draw from numpy Generators seeded per (seed, index)
-so parallel and serial execution produce identical streams.
+Randomized procedures draw from numpy Generators seeded per (seed, index),
+so each draw depends only on the seed and its index, never on how many
+draws come before it or on the order they are evaluated in.
 """
 
 from dataclasses import dataclass
@@ -127,6 +128,20 @@ def pearson_many(pairs, permutations=10000, seed=0):
 MAX_RETRIES = 5   # redraws of a bootstrap resample before its ValueError stands
 
 
+def resample(n, seed, i, statistic):
+    """statistic of resample i of n units: the index array
+    default_rng((seed, i)).integers(0, n, n), redrawn from the same
+    Generator up to MAX_RETRIES times while statistic raises ValueError;
+    the last ValueError stands."""
+    rng = np.random.default_rng((seed, i))
+    for attempt in range(MAX_RETRIES + 1):
+        try:
+            return statistic(rng.integers(0, n, n))
+        except ValueError:
+            if attempt == MAX_RETRIES:
+                raise
+
+
 def bootstrap_ci(units, statistic, b=1000, level=0.95, seed=0):
     """Percentile bootstrap interval for a statistic over exchangeable units.
 
@@ -141,17 +156,9 @@ def bootstrap_ci(units, statistic, b=1000, level=0.95, seed=0):
     if b < 100:
         raise ValueError("need >= 100 resamples")
     point = statistic(units)
-    stats = np.empty(b)
-    for i in range(b):
-        rng = np.random.default_rng((seed, i))
-        for attempt in range(MAX_RETRIES + 1):
-            idx = rng.integers(0, n, n)
-            try:
-                stats[i] = statistic([units[j] for j in idx])
-                break
-            except ValueError:
-                if attempt == MAX_RETRIES:
-                    raise
+    stats = np.array([resample(n, seed, i,
+                               lambda idx: statistic([units[j] for j in idx]))
+                      for i in range(b)], dtype=float)
     alpha = (1 - level) / 2
     low, high = np.quantile(stats, [alpha, 1 - alpha])
     return float(low), float(high), float(point)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FramePredictions, VideoPredictions
+from .corpus import FramePredictions
 from .metrics import (aligned_predictions, frame_labels, grid_times,
                       per_class_eval)
 
@@ -44,10 +44,6 @@ class SmoothingSweepResult:
     loc_map: list
     cls_map: list
     best_fraction: float
-
-
-def _maxpool_predictions(frame_preds):
-    return [VideoPredictions(p.video_id, p.scores.max(axis=0)) for p in frame_preds]
 
 
 def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):

@@ -201,7 +201,8 @@ def test_validate_corpus_clean_and_coverage():
 def test_round_trip():
     v = load_vocabulary(VOCAB)
     vp = load_predictions("VID01 0.125 -0.5 3e-7\n", v, "video")
-    assert load_predictions(dump_video_predictions(vp), v, "video") == vp
+    assert load_predictions(dump_video_predictions(
+        [p.video_id for p in vp], [p.scores for p in vp]), v, "video") == vp
 
 
 def test_canonical_ordering_stable():

@@ -12,7 +12,7 @@ from actdiag.corpus import (ActivityInstance, AuxiliaryRecord,
                             VideoAnnotation, VideoPredictions,
                             load_vocabulary)
 from actdiag.metrics import classification_map, labels_matrix, sample_times
-from actdiag.oracles import (apply_temporal_oracle, build_intent_clusters,
+from actdiag.oracles import (build_intent_clusters,
                              build_pose_clusters, build_temporal_stats,
                              combine, intent_oracle, kmeans, object_oracle,
                              pose_oracle, spectral_cluster, squash_scores,
@@ -35,20 +35,20 @@ def test_object_oracle_masks_shared_object():
     anns = [ann("V1", 10.0, ("c000", 0.0, 5.0))]
     out = object_oracle(anns, VOCAB)
     # o00 is shared by c000 and c001; c002/c003 use other objects
-    assert list(out[0].scores) == [1.0, 1.0, 0.0, 0.0]
+    assert list(out[0]) == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_verb_oracle_masks_shared_verb():
     anns = [ann("V1", 10.0, ("c001", 0.0, 5.0))]
     out = verb_oracle(anns, VOCAB)
     # v01 belongs only to c001
-    assert list(out[0].scores) == [0.0, 1.0, 0.0, 0.0]
+    assert list(out[0]) == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_component_oracle_union_over_instances():
     anns = [ann("V1", 10.0, ("c001", 0.0, 2.0), ("c002", 3.0, 5.0))]
     out = object_oracle(anns, VOCAB)
-    assert list(out[0].scores) == [1.0, 1.0, 1.0, 0.0]
+    assert list(out[0]) == [1.0, 1.0, 1.0, 0.0]
 
 
 def test_temporal_stats_conditional_rows_normalized():
@@ -94,11 +94,11 @@ def test_temporal_stats_count_a_frame_once_per_class():
     assert stats.prev_counts[0, 0] == (in_c000 & (times > 6.0)).sum() == 5
 
 
-def test_apply_temporal_oracle_hand_arithmetic():
+def test_temporal_oracle_hand_arithmetic():
     train = [ann("T1", 10.0, ("c000", 0.0, 3.0), ("c001", 5.0, 9.0))]
     stats = build_temporal_stats(train, VOCAB)
     test = ann("V1", 10.0, ("c000", 0.0, 3.0), ("c001", 5.0, 9.0))
-    out = apply_temporal_oracle(stats, test, VOCAB)
+    (out,) = temporal_oracle(stats, [test], VOCAB)
     times = sample_times(10.0, 25)
     frames = np.empty((len(times), len(VOCAB)))
     for i, t in enumerate(times):
@@ -107,16 +107,16 @@ def test_apply_temporal_oracle_hand_arithmetic():
         p = stats.prior if prev is None else stats.cond_prev[prev]
         q = stats.prior if nxt is None else stats.cond_next[nxt]
         frames[i] = p * q
-    assert np.allclose(out.scores, frames.max(axis=0), atol=1e-9)
+    assert np.allclose(out, frames.max(axis=0), atol=1e-9)
 
 
 def test_temporal_oracle_prior_fallback_isolated_video():
     train = [ann("T1", 10.0, ("c000", 0.0, 3.0))]
     stats = build_temporal_stats(train, VOCAB)
     test = ann("V1", 10.0, ("c003", 0.0, 10.0))
-    out = apply_temporal_oracle(stats, test, VOCAB)
+    (out,) = temporal_oracle(stats, [test], VOCAB)
     # instance covers the whole video: no neighbors ever, prior^2 everywhere
-    assert np.allclose(out.scores, stats.prior ** 2, atol=1e-12)
+    assert np.allclose(out, stats.prior ** 2, atol=1e-12)
 
 
 def test_kmeans_separated_blobs():
@@ -145,10 +145,12 @@ def test_kmeans_k_bounds():
         kmeans(np.zeros((3, 2)), 0)
 
 
-def _loop_kmeans(points, k, seed=0, reseeded=None):
+def _loop_kmeans(points, k, seed=0, emptied=None):
     """Reference: Lloyd k-means with one full (n, k, d) distance tensor
-    and one boolean mask per cluster. Appends to reseeded each time an
-    empty cluster is re-seeded."""
+    and one boolean mask per cluster. The empty clusters of an iteration
+    take, in cluster order, the distinct points at positive distance from
+    their centroid, farthest first; one left without keeps its centroid.
+    Appends to emptied each time a cluster is empty."""
     points = np.asarray(points, dtype=float)
     n = len(points)
     rng = np.random.default_rng(seed)
@@ -165,13 +167,18 @@ def _loop_kmeans(points, k, seed=0, reseeded=None):
     for _ in range(oracles.KMEANS_MAX_ITER):
         dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = dist.argmin(axis=1)
+        nearest = dist[np.arange(n), assign]
+        seeds = []
+        for i in sorted(range(n), key=lambda i: -nearest[i]):   # stable
+            if nearest[i] > 0 and not any(np.array_equal(points[i], p) for p in seeds):
+                seeds.append(points[i])
         moved = 0.0
         for j in range(k):
             members = points[assign == j]
             if len(members) == 0:
-                if reseeded is not None:
-                    reseeded.append(j)
-                new = points[dist[np.arange(n), assign].argmax()]
+                if emptied is not None:
+                    emptied.append(j)
+                new = seeds.pop(0) if seeds else centroids[j].copy()
             else:
                 new = members.mean(axis=0)
             moved = max(moved, float(np.linalg.norm(new - centroids[j])))
@@ -207,10 +214,58 @@ def test_kmeans_matches_loop_reference_k1_and_kn():
 def test_kmeans_matches_loop_reference_with_empty_clusters():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(3, 4))[rng.integers(0, 3, 60)]
-    reseeded = []
-    _loop_kmeans(pts, 6, seed=3, reseeded=reseeded)
-    assert reseeded, "the case must exercise the empty-cluster reseed"
+    emptied = []
+    _loop_kmeans(pts, 6, seed=3, emptied=emptied)
+    assert emptied, "the case must exercise empty clusters"
     _assert_kmeans_matches_loop(pts, 6, seed=3)
+
+
+def _count_distance_calls(monkeypatch):
+    """Each centroid array oracles._sq_dists is called with, in order."""
+    calls = []
+    sq_dists = oracles._sq_dists
+
+    def spy(points, centroids):
+        calls.append(centroids.copy())
+        return sq_dists(points, centroids)
+    monkeypatch.setattr(oracles, "_sq_dists", spy)
+    return calls
+
+
+def test_kmeans_stops_when_no_point_is_left_to_reseed(monkeypatch):
+    # 3 distinct values for k = 6: every point sits on a centroid after the
+    # seeding, so the empty clusters keep theirs and Lloyd stops at once
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(3, 4))[rng.integers(0, 3, 60)]
+    calls = _count_distance_calls(monkeypatch)
+    _, assign = kmeans(pts, 6, seed=3)
+    assert len(calls) <= 3
+    assert len(set(assign)) == 3
+
+
+class _ScriptedRng:
+    """Stands in for default_rng: integers and choice return the scripted
+    point indices in turn, so the seeding can pick one point twice."""
+
+    def __init__(self, picks):
+        self.picks = iter(picks)
+
+    def integers(self, *args):
+        return next(self.picks)
+
+    def choice(self, *args, **kwargs):
+        return next(self.picks)
+
+
+def test_kmeans_reseeds_two_emptied_clusters_with_two_points(monkeypatch):
+    pts = np.array([[0.0], [0.0], [5.0], [9.0], [9.5], [9.5]])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ScriptedRng([0, 1, 0]))
+    calls = _count_distance_calls(monkeypatch)
+    kmeans(pts, 3)
+    # all three seeds at 0: clusters 1 and 2 are empty after the first
+    # assignment and take the farthest point and the next distinct one
+    assert np.array_equal(calls[0], [[0.0], [0.0], [0.0]])
+    assert np.array_equal(calls[1], [[5.5], [9.5], [9.0]])
 
 
 def test_kmeans_matches_loop_reference_rounded_ties():
@@ -358,8 +413,8 @@ def test_intent_oracle_recovers_plants():
                for i in range(10)]
     clusters = build_intent_clusters(group_a + group_b, VOCAB, k=2, seed=0)
     out = intent_oracle(clusters, [group_a[0], group_b[0]], VOCAB)
-    assert np.allclose(out[0].scores, [1, 1, 0, 0])
-    assert np.allclose(out[1].scores, [0, 0, 1, 1])
+    assert np.allclose(out[0], [1, 1, 0, 0])
+    assert np.allclose(out[1], [0, 0, 1, 1])
 
 
 def test_intent_oracle_prior_for_unlabeled_video():
@@ -368,7 +423,7 @@ def test_intent_oracle_prior_for_unlabeled_video():
     clusters = build_intent_clusters(train, VOCAB, k=2, seed=0)
     empty = ann("E", 10.0)
     out = intent_oracle(clusters, [empty], VOCAB)
-    assert np.allclose(out[0].scores, clusters.prior)
+    assert np.allclose(out[0], clusters.prior)
 
 
 def _pose(base, jitter, rng):
@@ -391,8 +446,8 @@ def test_pose_oracle_distinguishes_pose_classes():
     test_ann = [ann("X", 10.0, ("c000", 0.0, 10.0))]
     test_aux = [AuxiliaryRecord("X", 5.0, pose=_pose(standing, 0.01, rng))]
     out = pose_oracle(clusters, test_ann, test_aux, VOCAB)
-    assert out[0].scores[0] > 0.9
-    assert out[0].scores[1] < 0.1
+    assert out[0, 0] > 0.9
+    assert out[0, 1] < 0.1
 
 
 def test_pose_oracle_prior_without_poses():
@@ -403,7 +458,7 @@ def test_pose_oracle_prior_without_poses():
            for i in range(3)]
     clusters = build_pose_clusters(anns, aux, VOCAB, k=2, seed=0)
     out = pose_oracle(clusters, [ann("X", 10.0, ("c000", 0.0, 5.0))], [], VOCAB)
-    assert np.allclose(out[0].scores, clusters.prior)
+    assert np.allclose(out[0], clusters.prior)
 
 
 def test_pose_reference_skips_a_leading_pose_whose_keypoints_coincide():
@@ -523,10 +578,8 @@ def test_pose_clusters_and_oracle_match_loop_references():
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         expect = _loop_pose_oracle(got, test, test_aux)
         out = pose_oracle(got, test, test_aux, VOCAB)
-        assert [p.video_id for p in out] == [a.video_id for a in test]
-        for p, e in zip(out, expect):
-            assert np.array_equal(p.scores, e)
-    assert np.array_equal(out[-1].scores, got.prior)
+        assert np.array_equal(out, expect)
+    assert np.array_equal(out[-1], got.prior)
 
 
 def test_intent_clusters_match_loop_reference(monkeypatch):
@@ -557,11 +610,9 @@ def test_build_pose_clusters_requires_enough_frames():
 
 def test_squash_preserves_per_class_ranking():
     rng = np.random.default_rng(2)
-    preds = [VideoPredictions(f"V{i}", rng.normal(size=4)) for i in range(10)]
-    sq = squash_scores(preds)
-    raw = np.stack([p.scores for p in preds])
-    out = np.stack([p.scores for p in sq])
-    assert np.all((out > 0) & (out < 1))
+    raw = rng.normal(size=(10, 4))
+    out = squash_scores(raw)
+    assert out.shape == raw.shape and np.all((out > 0) & (out < 1))
     for c in range(4):
         assert np.array_equal(np.argsort(raw[:, c]), np.argsort(out[:, c]))
 
@@ -589,13 +640,24 @@ def test_oracles_beat_chance_on_synthetic_corpus():
     anns = [ann(f"V{i}", 10.0, (f"c00{i % 4}", 0.0, 5.0)) for i in range(40)]
     random_preds = [VideoPredictions(a.video_id, rng.random(4)) for a in anns]
     chance = classification_map(random_preds, anns, VOCAB).mean_ap
-    oracle = classification_map(combine(verb_oracle(anns, VOCAB), random_preds),
-                                anns, VOCAB).mean_ap
+    verbs = [VideoPredictions(a.video_id, row)
+             for a, row in zip(anns, verb_oracle(anns, VOCAB))]
+    oracle = classification_map(combine(verbs, random_preds), anns, VOCAB).mean_ap
     assert oracle > chance
 
 
-def test_temporal_oracle_list_wrapper():
-    train = [ann("T1", 10.0, ("c000", 0.0, 3.0), ("c001", 5.0, 9.0))]
+def test_oracles_return_one_row_per_annotation_even_for_none():
+    train = [ann(f"T{i}", 10.0, (f"c00{i % 4}", 0.0, 3.0), (f"c00{(i + 1) % 4}", 5.0, 9.0))
+             for i in range(8)]
+    aux = [AuxiliaryRecord(a.video_id, 2.0, pose=((0.0, 0.0, 1.0), (0.0, 1.0, 1.0),
+                                                   (1.0, float(i), 1.0)))
+           for i, a in enumerate(train)]
     stats = build_temporal_stats(train, VOCAB)
-    outs = temporal_oracle(stats, train, VOCAB)
-    assert len(outs) == 1 and outs[0].video_id == "T1"
+    intent = build_intent_clusters(train, VOCAB, k=2, seed=0)
+    pose = build_pose_clusters(train, aux, VOCAB, k=2, seed=0)
+    for anns in (train[:3], []):
+        for out in (object_oracle(anns, VOCAB), verb_oracle(anns, VOCAB),
+                    temporal_oracle(stats, anns, VOCAB),
+                    intent_oracle(intent, anns, VOCAB),
+                    pose_oracle(pose, anns, aux, VOCAB)):
+            assert out.shape == (len(anns), len(VOCAB)) and out.dtype == float

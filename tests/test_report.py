@@ -12,8 +12,11 @@ import pytest
 from actdiag import report as report_mod
 from actdiag.attributes import video_attributes
 from actdiag.corpus import (ActivityInstance, AuxiliaryRecord, VideoAnnotation,
-                            load_vocabulary)
-from actdiag.metrics import labels_matrix, per_class_eval
+                            VideoPredictions, load_annotations, load_auxiliary,
+                            load_predictions, load_vocabulary)
+from actdiag.metrics import (aligned_predictions, classification_map,
+                             labels_matrix, per_class_eval)
+from actdiag import oracles
 from actdiag.report import (BUNDLE_NAME, RunConfig, bootstrap_map_ci, main,
                             run_report, suggest)
 from actdiag.stats import bootstrap_ci, equal_population_bins
@@ -285,6 +288,54 @@ def test_run_report_small_intent_k_runs(tmp_path):
     paths = _write_corpus(tmp_path)
     report = run_report(_config(tmp_path, paths, out="ik", intent_ks=(2,)))
     assert isinstance(report["oracles"]["single"]["intent2"], float)
+
+
+def test_oracle_section_equals_the_list_path(tmp_path):
+    # the section scores (videos, classes) arrays; the public list API
+    # (classification_map, combine) must give the same numbers exactly, on
+    # prediction files in another order than the test annotations and
+    # holding a video that no annotation names
+    paths = _write_corpus(tmp_path)
+    rng = np.random.default_rng(3)
+    lines = open(paths["svm"]).read().splitlines() + ["X9 0.1 0.2 0.3 0.4"]
+    svm = tmp_path / "svm_shuffled.txt"
+    svm.write_text("\n".join(rng.permutation(lines)) + "\n")
+    header, *rows = open(paths["cnn"]).read().splitlines()
+    frames = {}   # video -> its lines, frames in time order
+    for row in rows + [f"X9 {t} 0.5 0.5 0.5 0.5" for t in range(10)]:
+        frames.setdefault(row.split()[0], []).append(row)
+    cnn = tmp_path / "cnn_shuffled.txt"
+    cnn.write_text("\n".join([header] + [row for vid in rng.permutation(list(frames))
+                                         for row in frames[vid]]) + "\n")
+    config = _config(tmp_path, paths, out="ref", intent_ks=(2,), pose_k=2,
+                     predictions={"cnn": str(cnn), "svm": str(svm)})
+    report = run_report(config)
+
+    vocab = load_vocabulary(VOCAB_TEXT)
+    test, train = load_annotations(TEST_ANN, vocab), load_annotations(TRAIN_ANN, vocab)
+    aux = load_auxiliary(open(paths["aux"]).read())
+    rows = {"object": oracles.object_oracle(test, vocab),
+            "verb": oracles.verb_oracle(test, vocab),
+            "temporal": oracles.temporal_oracle(
+                oracles.build_temporal_stats(train, vocab), test, vocab),
+            "intent2": oracles.intent_oracle(
+                oracles.build_intent_clusters(train, vocab, 2), test, vocab),
+            "pose": oracles.pose_oracle(
+                oracles.build_pose_clusters(train, aux, vocab, 2), test, aux, vocab)}
+    methods = {"cnn": [VideoPredictions(p.video_id, p.scores.max(axis=0))
+                       for p in load_predictions(cnn.read_text(), vocab, "frame")],
+               "svm": load_predictions(svm.read_text(), vocab, "video")}
+    single, combined = {}, {}
+    for oname, scores in rows.items():
+        preds = [VideoPredictions(a.video_id, row) for a, row in zip(test, scores)]
+        single[oname] = classification_map(preds, test, vocab).mean_ap
+        for mname, mpreds in methods.items():
+            combined[f"{oname}+{mname}"] = classification_map(
+                oracles.combine(preds, aligned_predictions(mpreds, test)), test,
+                vocab).mean_ap
+        with open(os.path.join(config.out, f"oracle_{oname}.preds")) as f:
+            assert load_predictions(f, vocab, "video") == preds
+    assert report["oracles"] == {"single": single, "combined": combined}
 
 
 def test_run_report_names_method_and_missing_video(tmp_path):

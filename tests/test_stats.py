@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from actdiag.stats import (bin_by_attribute, bootstrap_ci, pearson,
-                           pearson_many, pearson_rho)
+from actdiag.stats import (MAX_RETRIES, bin_by_attribute, bootstrap_ci,
+                           pearson, pearson_many, pearson_rho, resample)
 
 
 def test_pearson_rho_perfect():
@@ -159,6 +159,32 @@ def test_bootstrap_ci_retries_only_value_errors():
     with pytest.raises(TypeError):
         bootstrap_ci([0.0, 1.0, 2.0], stat, b=200, seed=0)
     assert len(calls) == 2          # the point estimate and one resample
+
+
+def test_resample_redraws_from_one_generator_until_the_statistic_holds():
+    seen = []
+
+    def stat(idx):
+        seen.append(idx.copy())
+        if len(seen) < 3:
+            raise ValueError("degenerate resample")
+        return len(seen)
+
+    assert resample(7, 4, 2, stat) == 3
+    rng = np.random.default_rng((4, 2))
+    for idx in seen:
+        assert np.array_equal(idx, rng.integers(0, 7, 7))
+
+
+def test_resample_lets_the_last_value_error_stand():
+    calls = []
+
+    def stat(idx):
+        calls.append(idx)
+        raise ValueError(f"draw {len(calls)}")
+
+    with pytest.raises(ValueError, match=f"draw {MAX_RETRIES + 1}"):
+        resample(5, 0, 0, stat)
 
 
 def test_bootstrap_ci_input_checks():
