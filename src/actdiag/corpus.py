@@ -27,7 +27,7 @@ import json
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,24 +129,6 @@ class AuxiliaryRecord:
     person_count: int | None = None
     motion: float | None = None
     pose: tuple | None = None          # ((x, y, confidence), ...)
-
-
-@dataclass
-class ValidationReport:
-    missing_predictions: dict = field(default_factory=dict)   # method -> [video_id]
-    unannotated_predictions: dict = field(default_factory=dict)
-    auxiliary_coverage: float | None = None
-
-    @property
-    def findings(self):
-        out = []
-        for method, vids in sorted(self.missing_predictions.items()):
-            for v in vids:
-                out.append(f"{v}: no prediction from {method}")
-        for method, vids in sorted(self.unannotated_predictions.items()):
-            for v in vids:
-                out.append(f"{v}: predicted by {method} but not annotated")
-        return out
 
 
 def _open(text):
@@ -471,23 +453,23 @@ def validate_corpus(annotations, predictions, auxiliary=None):
     """Cross-check coverage of predictions and auxiliary data.
 
     predictions: dict method name -> list of VideoPredictions or
-    FramePredictions. Findings are reported, never raised; inputs are not
-    mutated.
+    FramePredictions. Returns (findings, auxiliary_coverage): one line per
+    annotated video a method lacks, then one per video a method predicts
+    but no annotation names, each group in method then video order; and
+    the share of annotated videos with an auxiliary record (None without
+    auxiliary data or annotations). Findings are reported, never raised;
+    inputs are not mutated.
     """
     ann_ids = {a.video_id for a in annotations}
-    report = ValidationReport()
-    for method, preds in predictions.items():
-        pred_ids = {p.video_id for p in preds}
-        missing = sorted(ann_ids - pred_ids)
-        extra = sorted(pred_ids - ann_ids)
-        if missing:
-            report.missing_predictions[method] = missing
-        if extra:
-            report.unannotated_predictions[method] = extra
+    pred_ids = {m: {p.video_id for p in preds} for m, preds in sorted(predictions.items())}
+    findings = [f"{v}: no prediction from {m}"
+                for m, ids in pred_ids.items() for v in sorted(ann_ids - ids)]
+    findings += [f"{v}: predicted by {m} but not annotated"
+                 for m, ids in pred_ids.items() for v in sorted(ids - ann_ids)]
+    coverage = None
     if auxiliary is not None and ann_ids:
-        aux_ids = {r.video_id for r in auxiliary}
-        report.auxiliary_coverage = len(ann_ids & aux_ids) / len(ann_ids)
-    return report
+        coverage = len(ann_ids & {r.video_id for r in auxiliary}) / len(ann_ids)
+    return findings, coverage
 
 
 # --- serialization (round-trip partner of the video-mode loader) ---

@@ -234,12 +234,14 @@ def frame_labels(annotation, vocab, times):
 
 
 def sample_grid(annotations, vocab, samples_per_video=25):
-    """Sample each video at samples_per_video equally spaced times."""
+    """Sample each video at samples_per_video equally spaced times; no
+    annotations give an empty grid."""
     times = [sample_times(a.duration, samples_per_video) for a in annotations]
     return SampleGrid(np.repeat(np.arange(len(annotations)), samples_per_video),
-                      np.concatenate(times),
-                      np.vstack([frame_labels(a, vocab, t)
-                                 for a, t in zip(annotations, times)]),
+                      np.concatenate([np.empty(0), *times]),
+                      np.concatenate([np.empty((0, len(vocab)), dtype=bool),
+                                      *[frame_labels(a, vocab, t)
+                                        for a, t in zip(annotations, times)]]),
                       list(annotations))
 
 

@@ -4,9 +4,11 @@ predictions.
 Five oracles, each a lower bound on the value of one kind of ground-truth
 side information: the objects interacted with, the verbs executed, the
 neighboring activities in time, the video's intent cluster, and the pose
-cluster of each frame. Each oracle returns one (videos, classes) float
-array with a row per annotation, in annotation order: mask oracles emit
-{0,1} rows, distribution oracles per-class scores in [0,1]. combine is the
+cluster of each frame. The oracles read what a run already holds: the
+test and training label matrices, the test sample grid and the posed
+training frames. Each returns one (videos, classes) float array with a row
+per test video, in annotation order: mask oracles emit {0,1} rows,
+distribution oracles per-class scores in [0,1]. combine is the
 list form of the combination with a method, kept for callers that hold
 VideoPredictions.
 """
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributes import AlignmentError, align_pose, _by_video, _confident
+from .attributes import AlignmentError, align_pose, _active_at, _by_video, _confident
 from .corpus import VideoPredictions
-from .metrics import frame_labels, labels_matrix, sample_times
+from .metrics import frame_labels, sample_times
 
 SMOOTHING = 1.0   # additive count per (condition, class) cell
 KMEANS_MAX_ITER = 300
@@ -25,22 +27,11 @@ KMEANS_TOL = 1e-6   # stop once no centroid moves farther
 DIST_BLOCK_BYTES = 1 << 20   # size of one (rows, k, d) difference block
 
 
-def object_oracle(annotations, vocab):
-    """Score 1 for every category whose object occurs among a video's
-    ground-truth instance categories' objects, 0 otherwise."""
-    return _component_oracle(annotations, vocab, vocab.object_of)
-
-
-def verb_oracle(annotations, vocab):
-    """Object oracle with verb components."""
-    return _component_oracle(annotations, vocab, vocab.verb_of)
-
-
-def _component_oracle(annotations, vocab, component_of):
-    """(V, C): 1 where a class's component is one of the video's instance
-    classes' components."""
-    present = labels_matrix(annotations, vocab) @ (
-        component_of[:, None] == np.arange(component_of.max() + 1))
+def component_oracle(labels, component_of):
+    """(V, C) from (V, C) bool labels: 1 where a class's component (its
+    object for vocab.object_of, its verb for vocab.verb_of) is the component
+    of one of the video's labelled classes, 0 otherwise."""
+    present = labels @ (component_of[:, None] == np.arange(component_of.max() + 1))
     return present[:, component_of].astype(float)
 
 
@@ -106,13 +97,15 @@ def build_temporal_stats(annotations, vocab, samples_per_video=25):
                            next_counts)
 
 
-def temporal_oracle(stats, annotations, vocab, samples_per_video=25):
-    """(V, C): per video, the max over its sampled frames of
-    p(a|a_p) * p(a|a_n), with the prior substituted for a missing side."""
+def temporal_oracle(stats, grid, vocab):
+    """(V, C): per video of the sample grid, the max over its sampled frames
+    of p(a|a_p) * p(a|a_n), with the prior substituted for a missing side."""
+    annotations = grid.annotations
+    bounds = np.searchsorted(grid.video_index, np.arange(len(annotations) + 1))
     out = np.empty((len(annotations), len(vocab)))
     for v, ann in enumerate(annotations):
         frames = []
-        for t in sample_times(ann.duration, samples_per_video):
+        for t in grid.times[bounds[v]:bounds[v + 1]]:
             prev, nxt = _neighbors(ann, vocab, t)
             frames.append((stats.prior if prev is None else stats.cond_prev[prev])
                           * (stats.prior if nxt is None else stats.cond_next[nxt]))
@@ -239,11 +232,11 @@ class IntentClusters:
     prior: np.ndarray           # (C,) global mean label vector
 
 
-def build_intent_clusters(annotations, vocab, k, seed=0):
-    """Spectral-cluster training label vectors with cosine affinity; each
-    cluster's activity distribution is the mean of its members' binary
-    label vectors."""
-    labels = labels_matrix(annotations, vocab).astype(float)
+def build_intent_clusters(train_labels, k, seed=0):
+    """Spectral-cluster the rows of the (V, C) training label matrix with
+    cosine affinity; each cluster's activity distribution is the mean of
+    its members' binary label vectors."""
+    labels = train_labels.astype(float)
     assign, _ = spectral_cluster(labels, k, seed)
     dists = _cluster_means(labels, assign, k + 1)
     return IntentClusters(k, dists, labels.mean(axis=0))
@@ -259,11 +252,11 @@ def _cluster_means(labels, assign, k):
     return sums / np.maximum(counts, 1)[:, None]
 
 
-def intent_oracle(clusters, annotations, vocab):
-    """(V, C): each test video's ground-truth label vector is assigned to the
+def intent_oracle(clusters, labels):
+    """(V, C): each row of the (V, C) test label matrix is assigned to the
     nearest cluster by cosine similarity, one row at a time, and gets that
     cluster's distribution; zero-label videos get the prior."""
-    labels = labels_matrix(annotations, vocab).astype(float)
+    labels = labels.astype(float)
     dists = clusters.distributions[:clusters.k]
     cnorm = np.linalg.norm(dists, axis=1)
     out = np.tile(clusters.prior, (len(labels), 1))
@@ -311,18 +304,17 @@ def posed_frames(annotations, auxiliary):
     return out
 
 
-def build_pose_clusters(annotations, auxiliary, vocab, k=500, seed=0):
-    """Cluster Procrustes-aligned training poses and record each cluster's
-    frame-label distribution. Raises AlignmentError when fewer than k
-    poses align to the mean reference."""
-    frames = posed_frames(annotations, auxiliary)
+def build_pose_clusters(frames, vocab, k=500, seed=0):
+    """Cluster the Procrustes-aligned poses of posed training frames (the
+    list posed_frames gives) and record each cluster's frame-label
+    distribution. Raises AlignmentError when fewer than k poses align to
+    the mean reference."""
     if len(frames) < k:
         raise ValueError(f"only {len(frames)} posed training frames for k={k}")
     labs = np.zeros((len(frames), len(vocab)))
     for lab, (ann, t, _) in zip(labs, frames):
-        for inst in ann.instances:
-            if inst.start <= t <= inst.end:
-                lab[vocab.index[inst.category]] = 1.0
+        for cid in _active_at(ann, t):
+            lab[vocab.index[cid]] = 1.0
     poses = np.stack([pose for _, _, pose in frames])
     reference = _mean_reference(poses)
     aligned, ok = align_pose(poses, reference)

@@ -82,6 +82,11 @@ class RunConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in self.predictions:
+            # a name is a table cell and a bundle file name
+            if not name or re.search(r'[,"\s/\\]', name):
+                raise ValueError(f"method name {name!r} is empty or holds a comma, "
+                                 "a double quote, whitespace or a path separator")
         for path in [self.vocab, self.test, self.train, self.aux,
                      self.reannotations, *self.predictions.values()]:
             if path is not None and not os.path.exists(path):
@@ -155,7 +160,10 @@ class RunContext:
 
     @cached_property
     def test(self):
-        return _load(self.config.test, load_annotations, self.vocab)
+        test = _load(self.config.test, load_annotations, self.vocab)
+        if not test:
+            raise ValueError(f"the test split {self.config.test} holds no videos")
+        return test
 
     @cached_property
     def train(self):
@@ -179,6 +187,11 @@ class RunContext:
     def labels(self):
         """(V, C) test video labels."""
         return labels_matrix(self.test, self.vocab)
+
+    @cached_property
+    def train_labels(self):
+        """(V, C) training video labels."""
+        return labels_matrix(self.train, self.vocab)
 
     @cached_property
     def grid(self):
@@ -383,10 +396,9 @@ def _attribute_table(key, attrs, table):
 # --- report sections: each maps the context to (report keys, CSV files) ---
 
 def _validation(ctx):
-    val = validate_corpus(ctx.test, {n: m.preds for n, m in ctx.methods.items()},
-                          ctx.aux)
-    return {"validation": {"findings": val.findings,
-                           "auxiliary_coverage": val.auxiliary_coverage}}, {}
+    findings, coverage = validate_corpus(
+        ctx.test, {n: m.preds for n, m in ctx.methods.items()}, ctx.aux)
+    return {"validation": {"findings": findings, "auxiliary_coverage": coverage}}, {}
 
 
 def _evaluation(ctx):
@@ -561,39 +573,38 @@ def _overlap(ctx):
 
 
 def _oracles(ctx):
-    c, vocab, test, train = ctx.config, ctx.vocab, ctx.test, ctx.train
+    c, vocab, train = ctx.config, ctx.vocab, ctx.train
     sec = {"single": {}, "combined": {}}
     oracle_scores = {   # name -> (V, C) rows in test order
-        "object": oracle_mod.object_oracle(test, vocab),
-        "verb": oracle_mod.verb_oracle(test, vocab),
+        "object": oracle_mod.component_oracle(ctx.labels, vocab.object_of),
+        "verb": oracle_mod.component_oracle(ctx.labels, vocab.verb_of),
     }
     if train is not None:
         stats = oracle_mod.build_temporal_stats(train, vocab, c.samples_per_video)
-        oracle_scores["temporal"] = oracle_mod.temporal_oracle(
-            stats, test, vocab, c.samples_per_video)
-        nonzero = int((labels_matrix(train, vocab).sum(axis=1) > 0).sum())
+        oracle_scores["temporal"] = oracle_mod.temporal_oracle(stats, ctx.grid, vocab)
+        nonzero = int(ctx.train_labels.any(axis=1).sum())
         for k in c.intent_ks:
             if nonzero < k:
                 sec["single"][f"intent{k}"] = "skipped: too few training videos"
                 continue
-            clusters = oracle_mod.build_intent_clusters(train, vocab, k, c.seed)
-            oracle_scores[f"intent{k}"] = oracle_mod.intent_oracle(clusters, test, vocab)
-        if (ctx.aux is not None
-                and len(oracle_mod.posed_frames(train, ctx.aux)) >= c.pose_k):
+            clusters = oracle_mod.build_intent_clusters(ctx.train_labels, k, c.seed)
+            oracle_scores[f"intent{k}"] = oracle_mod.intent_oracle(clusters, ctx.labels)
+        frames = [] if ctx.aux is None else oracle_mod.posed_frames(train, ctx.aux)
+        if len(frames) >= c.pose_k:
             try:
-                pc = oracle_mod.build_pose_clusters(train, ctx.aux, vocab, c.pose_k,
-                                                    c.seed)
+                pc = oracle_mod.build_pose_clusters(frames, vocab, c.pose_k, c.seed)
             except attr_mod.AlignmentError as e:
                 sec["single"]["pose"] = f"skipped: {e}"
             else:
-                oracle_scores["pose"] = oracle_mod.pose_oracle(pc, test, ctx.aux, vocab)
+                oracle_scores["pose"] = oracle_mod.pose_oracle(pc, ctx.test, ctx.aux,
+                                                               vocab)
         else:
             sec["single"]["pose"] = "skipped: not enough posed frames"
     else:
         sec["single"]["temporal"] = "skipped: no training annotations"
 
     squashed = {name: oracle_mod.squash_scores(m.scores) for name, m in ctx.methods.items()}
-    ids = [a.video_id for a in test]
+    ids = [a.video_id for a in ctx.test]
     csvs = {}
     for oname, scores in oracle_scores.items():
         sec["single"][oname] = metrics.per_class_eval(scores, ctx.labels).mean_ap

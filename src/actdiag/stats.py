@@ -56,18 +56,6 @@ def bin_by_attribute(pairs, k=6):
                        np.array([len(idx) for idx in bins]))
 
 
-def pearson_rho(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = np.sqrt((xc * xc).sum())
-    sy = np.sqrt((yc * yc).sum())
-    if sx == 0 or sy == 0:
-        raise ValueError("zero variance: correlation undefined")
-    return float((xc * yc).sum() / (sx * sy))
-
-
 def pearson(x, y, permutations=10000, seed=0):
     """Pearson's rho with a two-sided permutation p-value.
 
@@ -101,13 +89,13 @@ def pearson_many(pairs, permutations=10000, seed=0):
         y = np.asarray(y, dtype=float)
         if len(x) != len(y) or len(x) < 3:
             continue
-        try:
-            rho = pearson_rho(x, y)
-        except ValueError:
-            continue
         xc = x - x.mean()
         yc = y - y.mean()
-        denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
+        sxx, syy = (xc * xc).sum(), (yc * yc).sum()
+        if sxx == 0 or syy == 0:   # zero variance: correlation undefined
+            continue
+        rho = float((xc * yc).sum() / (np.sqrt(sxx) * np.sqrt(syy)))
+        denom = np.sqrt(sxx * syy)
         groups.setdefault(len(x), []).append((k, xc, yc, rho, denom))
     for n, group in groups.items():
         hits = [0] * len(group)

@@ -181,10 +181,15 @@ def test_auxiliary_inconsistent_pose_schema():
 def test_validate_corpus():
     v = load_vocabulary(VOCAB)
     anns = load_annotations("VID01,30.0,c000 1 2\nVID02,30.0,\n", v)
-    preds = {"m": [VideoPredictions("VID01", np.zeros(3))]}
-    rep = validate_corpus(anns, preds)
-    assert rep.missing_predictions == {"m": ["VID02"]}
-    assert any("VID02" in f for f in rep.findings)
+    preds = {"m": [VideoPredictions("VID01", np.zeros(3)),
+                   VideoPredictions("VID03", np.zeros(3))],
+             "a": [VideoPredictions("VID09", np.zeros(3))]}
+    findings, coverage = validate_corpus(anns, preds)
+    assert findings == ["VID01: no prediction from a", "VID02: no prediction from a",
+                        "VID02: no prediction from m",
+                        "VID09: predicted by a but not annotated",
+                        "VID03: predicted by m but not annotated"]
+    assert coverage is None
 
 
 def test_validate_corpus_clean_and_coverage():
@@ -193,9 +198,7 @@ def test_validate_corpus_clean_and_coverage():
     preds = {"m": [VideoPredictions("VID01", np.zeros(3)),
                    VideoPredictions("VID02", np.zeros(3))]}
     aux = load_auxiliary('{"video_id": "VID01", "frame_time": 0}\n')
-    rep = validate_corpus(anns, preds, aux)
-    assert rep.findings == []
-    assert rep.auxiliary_coverage == 0.5
+    assert validate_corpus(anns, preds, aux) == ([], 0.5)
 
 
 def test_round_trip():

@@ -437,3 +437,18 @@ def test_evaluation_bits_match_the_rank_order_path(monkeypatch):
         for a, b in zip(g, w):
             assert np.array_equal(a, b, equal_nan=True)
     assert np.isnan(got[0][-1][-1])                  # the row without weight
+
+
+def test_sample_grid_of_no_annotations_is_empty():
+    # the parent died with numpy's bare "need at least one array to
+    # concatenate"
+    vocab = load_vocabulary(VOCAB)
+    grid = metrics.sample_grid([], vocab, 25)
+    assert grid.video_index.shape == grid.times.shape == (0,)
+    assert grid.times.dtype == float
+    assert grid.labels.shape == (0, len(vocab)) and grid.labels.dtype == bool
+    anns = load_annotations("V0,10.0,c001 2 4\n", vocab)
+    one = metrics.sample_grid(anns, vocab, 5)
+    assert np.array_equal(one.times, sample_times(10.0, 5))
+    assert one.labels.dtype == bool and one.labels[:, 1].tolist() == [
+        False, True, False, False, False]

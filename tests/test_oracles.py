@@ -11,12 +11,13 @@ from actdiag.attributes import AlignmentError, align_pose
 from actdiag.corpus import (ActivityInstance, AuxiliaryRecord,
                             VideoAnnotation, VideoPredictions,
                             load_vocabulary)
-from actdiag.metrics import classification_map, labels_matrix, sample_times
+from actdiag.metrics import (classification_map, labels_matrix, sample_grid,
+                             sample_times)
 from actdiag.oracles import (build_intent_clusters,
                              build_pose_clusters, build_temporal_stats,
-                             combine, intent_oracle, kmeans, object_oracle,
-                             pose_oracle, spectral_cluster, squash_scores,
-                             temporal_oracle, verb_oracle)
+                             combine, component_oracle, intent_oracle, kmeans,
+                             pose_oracle, posed_frames, spectral_cluster,
+                             squash_scores, temporal_oracle)
 
 VOCAB = load_vocabulary("""class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -33,21 +34,21 @@ def ann(vid, duration, *insts):
 
 def test_object_oracle_masks_shared_object():
     anns = [ann("V1", 10.0, ("c000", 0.0, 5.0))]
-    out = object_oracle(anns, VOCAB)
+    out = component_oracle(labels_matrix(anns, VOCAB), VOCAB.object_of)
     # o00 is shared by c000 and c001; c002/c003 use other objects
     assert list(out[0]) == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_verb_oracle_masks_shared_verb():
     anns = [ann("V1", 10.0, ("c001", 0.0, 5.0))]
-    out = verb_oracle(anns, VOCAB)
+    out = component_oracle(labels_matrix(anns, VOCAB), VOCAB.verb_of)
     # v01 belongs only to c001
     assert list(out[0]) == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_component_oracle_union_over_instances():
     anns = [ann("V1", 10.0, ("c001", 0.0, 2.0), ("c002", 3.0, 5.0))]
-    out = object_oracle(anns, VOCAB)
+    out = component_oracle(labels_matrix(anns, VOCAB), VOCAB.object_of)
     assert list(out[0]) == [1.0, 1.0, 1.0, 0.0]
 
 
@@ -98,7 +99,7 @@ def test_temporal_oracle_hand_arithmetic():
     train = [ann("T1", 10.0, ("c000", 0.0, 3.0), ("c001", 5.0, 9.0))]
     stats = build_temporal_stats(train, VOCAB)
     test = ann("V1", 10.0, ("c000", 0.0, 3.0), ("c001", 5.0, 9.0))
-    (out,) = temporal_oracle(stats, [test], VOCAB)
+    (out,) = temporal_oracle(stats, sample_grid([test], VOCAB), VOCAB)
     times = sample_times(10.0, 25)
     frames = np.empty((len(times), len(VOCAB)))
     for i, t in enumerate(times):
@@ -114,7 +115,7 @@ def test_temporal_oracle_prior_fallback_isolated_video():
     train = [ann("T1", 10.0, ("c000", 0.0, 3.0))]
     stats = build_temporal_stats(train, VOCAB)
     test = ann("V1", 10.0, ("c003", 0.0, 10.0))
-    (out,) = temporal_oracle(stats, [test], VOCAB)
+    (out,) = temporal_oracle(stats, sample_grid([test], VOCAB), VOCAB)
     # instance covers the whole video: no neighbors ever, prior^2 everywhere
     assert np.allclose(out, stats.prior ** 2, atol=1e-12)
 
@@ -411,8 +412,9 @@ def test_intent_oracle_recovers_plants():
                for i in range(10)]
     group_b = [ann(f"B{i}", 10.0, ("c002", 0.0, 5.0), ("c003", 5.0, 9.0))
                for i in range(10)]
-    clusters = build_intent_clusters(group_a + group_b, VOCAB, k=2, seed=0)
-    out = intent_oracle(clusters, [group_a[0], group_b[0]], VOCAB)
+    clusters = build_intent_clusters(labels_matrix(group_a + group_b, VOCAB), k=2,
+                                     seed=0)
+    out = intent_oracle(clusters, labels_matrix([group_a[0], group_b[0]], VOCAB))
     assert np.allclose(out[0], [1, 1, 0, 0])
     assert np.allclose(out[1], [0, 0, 1, 1])
 
@@ -420,9 +422,9 @@ def test_intent_oracle_recovers_plants():
 def test_intent_oracle_prior_for_unlabeled_video():
     train = [ann(f"A{i}", 10.0, ("c000", 0.0, 5.0)) for i in range(4)]
     train += [ann(f"B{i}", 10.0, ("c001", 0.0, 5.0)) for i in range(4)]
-    clusters = build_intent_clusters(train, VOCAB, k=2, seed=0)
+    clusters = build_intent_clusters(labels_matrix(train, VOCAB), k=2, seed=0)
     empty = ann("E", 10.0)
-    out = intent_oracle(clusters, [empty], VOCAB)
+    out = intent_oracle(clusters, labels_matrix([empty], VOCAB))
     assert np.allclose(out[0], clusters.prior)
 
 
@@ -442,7 +444,7 @@ def test_pose_oracle_distinguishes_pose_classes():
         anns.append(ann(vid, 10.0, (cat, 0.0, 10.0)))
         for t in (2.0, 5.0, 8.0):
             aux.append(AuxiliaryRecord(vid, t, pose=_pose(base, 0.01, rng)))
-    clusters = build_pose_clusters(anns, aux, VOCAB, k=2, seed=0)
+    clusters = build_pose_clusters(posed_frames(anns, aux), VOCAB, k=2, seed=0)
     test_ann = [ann("X", 10.0, ("c000", 0.0, 10.0))]
     test_aux = [AuxiliaryRecord("X", 5.0, pose=_pose(standing, 0.01, rng))]
     out = pose_oracle(clusters, test_ann, test_aux, VOCAB)
@@ -456,7 +458,7 @@ def test_pose_oracle_prior_without_poses():
     anns = [ann(f"T{i}", 10.0, ("c000", 0.0, 10.0)) for i in range(3)]
     aux = [AuxiliaryRecord(f"T{i}", 5.0, pose=_pose(base, 0.1, rng))
            for i in range(3)]
-    clusters = build_pose_clusters(anns, aux, VOCAB, k=2, seed=0)
+    clusters = build_pose_clusters(posed_frames(anns, aux), VOCAB, k=2, seed=0)
     out = pose_oracle(clusters, [ann("X", 10.0, ("c000", 0.0, 5.0))], [], VOCAB)
     assert np.allclose(out[0], clusters.prior)
 
@@ -470,14 +472,14 @@ def test_pose_reference_skips_a_leading_pose_whose_keypoints_coincide():
     anns = [ann(f"T{i}", 10.0, ("c000", 0.0, 10.0)) for i in range(5)]
     poses = [point] * 3 + [_pose(base, 0.1, rng) for _ in range(2)]
     aux = [AuxiliaryRecord(f"T{i}", 5.0, pose=p) for i, p in enumerate(poses)]
-    clusters = build_pose_clusters(anns, aux, VOCAB, k=2, seed=0)
-    alone = build_pose_clusters(anns[3:], aux[3:], VOCAB, k=2, seed=0)
+    clusters = build_pose_clusters(posed_frames(anns, aux), VOCAB, k=2, seed=0)
+    alone = build_pose_clusters(posed_frames(anns[3:], aux[3:]), VOCAB, k=2, seed=0)
     assert np.array_equal(clusters.reference, alone.reference)
     assert np.array_equal(clusters.centroids, alone.centroids)
     with pytest.raises(AlignmentError, match="only 2 posed training frames align"):
-        build_pose_clusters(anns, aux, VOCAB, k=3, seed=0)
+        build_pose_clusters(posed_frames(anns, aux), VOCAB, k=3, seed=0)
     with pytest.raises(AlignmentError, match="no pose"):
-        build_pose_clusters(anns[:3], aux[:3], VOCAB, k=2, seed=0)
+        build_pose_clusters(posed_frames(anns[:3], aux[:3]), VOCAB, k=2, seed=0)
 
 
 def _loop_pose_vector(pose, reference):
@@ -573,7 +575,7 @@ def test_pose_clusters_and_oracle_match_loop_references():
                                     pose=_pose(np.eye(3)[:, :2], 0.05, rng)))
     for k in (1, 5, 40):
         want = _loop_pose_clusters(train, train_aux, VOCAB, k, seed=k)
-        got = build_pose_clusters(train, train_aux, VOCAB, k=k, seed=k)
+        got = build_pose_clusters(posed_frames(train, train_aux), VOCAB, k=k, seed=k)
         for field in ("centroids", "distributions", "reference", "prior"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         expect = _loop_pose_oracle(got, test, test_aux)
@@ -590,7 +592,7 @@ def test_intent_clusters_match_loop_reference(monkeypatch):
         anns.append(ann(f"T{v}", 10.0, *[(f"c00{c}", 0.0, 5.0) for c in cats]))
     labels = labels_matrix(anns, VOCAB).astype(float)
     for k in (1, 2, 3):
-        got = build_intent_clusters(anns, VOCAB, k, seed=k)
+        got = build_intent_clusters(labels_matrix(anns, VOCAB), k, seed=k)
         with monkeypatch.context() as m:
             m.setattr(oracles, "kmeans", _loop_kmeans)
             assign, _ = spectral_cluster(labels, k, seed=k)
@@ -604,8 +606,8 @@ def test_intent_clusters_match_loop_reference(monkeypatch):
 
 def test_build_pose_clusters_requires_enough_frames():
     with pytest.raises(ValueError):
-        build_pose_clusters([ann("T0", 10.0, ("c000", 0.0, 5.0))], [], VOCAB,
-                            k=5)
+        build_pose_clusters(posed_frames([ann("T0", 10.0, ("c000", 0.0, 5.0))], []),
+                            VOCAB, k=5)
 
 
 def test_squash_preserves_per_class_ranking():
@@ -641,7 +643,8 @@ def test_oracles_beat_chance_on_synthetic_corpus():
     random_preds = [VideoPredictions(a.video_id, rng.random(4)) for a in anns]
     chance = classification_map(random_preds, anns, VOCAB).mean_ap
     verbs = [VideoPredictions(a.video_id, row)
-             for a, row in zip(anns, verb_oracle(anns, VOCAB))]
+             for a, row in zip(anns, component_oracle(labels_matrix(anns, VOCAB),
+                                                      VOCAB.verb_of))]
     oracle = classification_map(combine(verbs, random_preds), anns, VOCAB).mean_ap
     assert oracle > chance
 
@@ -653,11 +656,13 @@ def test_oracles_return_one_row_per_annotation_even_for_none():
                                                    (1.0, float(i), 1.0)))
            for i, a in enumerate(train)]
     stats = build_temporal_stats(train, VOCAB)
-    intent = build_intent_clusters(train, VOCAB, k=2, seed=0)
-    pose = build_pose_clusters(train, aux, VOCAB, k=2, seed=0)
+    intent = build_intent_clusters(labels_matrix(train, VOCAB), k=2, seed=0)
+    pose = build_pose_clusters(posed_frames(train, aux), VOCAB, k=2, seed=0)
     for anns in (train[:3], []):
-        for out in (object_oracle(anns, VOCAB), verb_oracle(anns, VOCAB),
-                    temporal_oracle(stats, anns, VOCAB),
-                    intent_oracle(intent, anns, VOCAB),
+        labels = labels_matrix(anns, VOCAB)
+        for out in (component_oracle(labels, VOCAB.object_of),
+                    component_oracle(labels, VOCAB.verb_of),
+                    temporal_oracle(stats, sample_grid(anns, VOCAB), VOCAB),
+                    intent_oracle(intent, labels),
                     pose_oracle(pose, anns, aux, VOCAB)):
             assert out.shape == (len(anns), len(VOCAB)) and out.dtype == float

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from actdiag.corpus import (ActivityInstance, AuxiliaryRecord, VideoAnnotation,
                             VideoPredictions, load_annotations, load_auxiliary,
                             load_predictions, load_vocabulary)
 from actdiag.metrics import (aligned_predictions, classification_map,
-                             labels_matrix, per_class_eval)
+                             labels_matrix, per_class_eval, sample_grid)
 from actdiag import oracles
 from actdiag.report import (BUNDLE_NAME, RunConfig, bootstrap_map_ci, main,
                             run_report, suggest)
@@ -314,14 +315,17 @@ def test_oracle_section_equals_the_list_path(tmp_path):
     vocab = load_vocabulary(VOCAB_TEXT)
     test, train = load_annotations(TEST_ANN, vocab), load_annotations(TRAIN_ANN, vocab)
     aux = load_auxiliary(open(paths["aux"]).read())
-    rows = {"object": oracles.object_oracle(test, vocab),
-            "verb": oracles.verb_oracle(test, vocab),
+    labels, train_labels = labels_matrix(test, vocab), labels_matrix(train, vocab)
+    rows = {"object": oracles.component_oracle(labels, vocab.object_of),
+            "verb": oracles.component_oracle(labels, vocab.verb_of),
             "temporal": oracles.temporal_oracle(
-                oracles.build_temporal_stats(train, vocab), test, vocab),
+                oracles.build_temporal_stats(train, vocab), sample_grid(test, vocab),
+                vocab),
             "intent2": oracles.intent_oracle(
-                oracles.build_intent_clusters(train, vocab, 2), test, vocab),
+                oracles.build_intent_clusters(train_labels, 2), labels),
             "pose": oracles.pose_oracle(
-                oracles.build_pose_clusters(train, aux, vocab, 2), test, aux, vocab)}
+                oracles.build_pose_clusters(oracles.posed_frames(train, aux), vocab, 2),
+                test, aux, vocab)}
     methods = {"cnn": [VideoPredictions(p.video_id, p.scores.max(axis=0))
                        for p in load_predictions(cnn.read_text(), vocab, "frame")],
                "svm": load_predictions(svm.read_text(), vocab, "video")}
@@ -438,6 +442,65 @@ def test_config_rejects_non_positive_counts(tmp_path, field, value, name):
     with pytest.raises(ValueError, match=name):
         RunConfig(vocab=str(tmp_path / "nope.csv"), test=str(tmp_path / "nope2"),
                   **{field: value})
+
+
+@pytest.mark.parametrize("name", ["", "r,gb", 'a"b', "a b", "a\tb", "x/y", "x\\y"])
+def test_config_rejects_method_names_that_break_a_cell_or_a_file_name(tmp_path, name):
+    # the parent wrote "object+r,gb" as 3 cells under oracle_eval.csv's
+    # 2-cell header, and failed on "x/y" only when it wrote classification_x/y.csv
+    paths = _write_corpus(tmp_path)
+    with pytest.raises(ValueError, match="method name"):
+        _config(tmp_path, paths, predictions={name: paths["svm"]})
+    out = tmp_path / "named"
+    with pytest.raises(ValueError, match="method name"):
+        main(["report", "--vocab", paths["vocab.csv"], "--test", paths["test.csv"],
+              "--pred", f"{name}={paths['svm']}", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_config_accepts_method_names_with_dots_dashes_and_underscores(tmp_path):
+    paths = _write_corpus(tmp_path)
+    config = _config(tmp_path, paths, predictions={"rgb-2.v_1": paths["svm"]})
+    assert list(config.predictions) == ["rgb-2.v_1"]
+
+
+def test_report_on_an_empty_test_split_names_it(tmp_path):
+    # the parent computed sections until metrics.sample_grid died with
+    # numpy's bare "need at least one array to concatenate"
+    paths = _write_corpus(tmp_path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("video_id,duration,actions\n")
+    with pytest.raises(ValueError, match=f"test split {re.escape(str(empty))} "
+                                         "holds no videos"):
+        run_report(_config(tmp_path, paths, out="empty", test=str(empty),
+                           predictions={}))
+    assert not (tmp_path / "empty").exists()
+
+
+def test_report_builds_each_label_matrix_and_the_posed_frames_once(tmp_path,
+                                                                   monkeypatch):
+    # the parent built the label matrices again in each oracle and in the
+    # intent check, sampled the test videos' times again in the temporal
+    # oracle, and listed the posed training frames for the pose check and
+    # again for the clustering
+    paths = _write_corpus(tmp_path)
+    calls = {"labels_matrix": [], "sample_times": [], "posed_frames": []}
+    modules = [m for name, m in sys.modules.items() if name.startswith("actdiag.")]
+    for mod in modules:
+        for fname, log in calls.items():
+            if (fn := getattr(mod, fname, None)) is not None:
+                def counted(first, *args, _fn=fn, _log=log):
+                    _log.append(first)
+                    return _fn(first, *args)
+                monkeypatch.setattr(mod, fname, counted)
+    report = run_report(_config(tmp_path, paths, out="once", intent_ks=(2,), pose_k=2))
+    assert isinstance(report["oracles"]["single"]["intent2"], float)
+    assert isinstance(report["oracles"]["single"]["pose"], float)
+    test_ids, train_ids = [f"V{i}" for i in range(6)], [f"T{i}" for i in range(6)]
+    assert sorted([a.video_id for a in anns] for anns in calls["labels_matrix"]) == [
+        train_ids, test_ids]
+    assert [[a.video_id for a in anns] for anns in calls["posed_frames"]] == [train_ids]
+    assert len(calls["sample_times"]) == len(test_ids) + len(train_ids)
 
 
 def test_cli_report_rejects_zero_bootstrap_before_reading(tmp_path):
