@@ -200,7 +200,7 @@ def excluded_eval(items, keep):
     mask = n_pos > 0
     for c in np.flatnonzero(mask):
         sel = keep[:, c]
-        per_class[c] = normalized_ap(items.scores[sel, c], items.labels[sel, c], consts)
+        per_class[c] = normalized_ap(items.column(c)[sel], items.labels[sel, c], consts)
     mean_ap = float(per_class[mask].mean()) if mask.any() else float("nan")
     return EvalResult(per_class, mean_ap, mask, n_pos, n_neg)
 
@@ -215,4 +215,4 @@ def perfect_classifier_localization(annotations, vocab, samples_per_video=25):
 def perfect_classifier_eval(grid, video_labels):
     """perfect_classifier_localization on a sample grid, given the (V, C)
     video labels of its annotations."""
-    return per_class_eval(video_labels[grid.video_index].astype(float), grid.labels)
+    return per_class_eval(video_labels[grid.video_index], grid.labels)

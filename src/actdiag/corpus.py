@@ -249,9 +249,9 @@ def load_predictions(text, vocab, mode):
     """Parse a predictions file.
 
     mode='video' -> list of VideoPredictions;
-    mode='frame' -> list of FramePredictions (rows grouped by video id,
-    frame order preserved; requires exactly one ``#fps=R`` header line,
-    before the first row).
+    mode='frame' -> list of FramePredictions (rows grouped by video id, frame
+    order preserved, scores row ranges of one (F, C) matrix; requires exactly
+    one ``#fps=R`` header line, before the first row).
 
     Data lines are parsed CHUNK at a time by _PredictionRows; the loop
     here handles blank, comment and header lines.
@@ -281,23 +281,28 @@ class _PredictionRows:
     """The data lines of one predictions file and what they parse to.
 
     line() is the only definition of a valid data line and of the
-    CorpusError each invalid one raises. add() collects data lines and
-    flushes every CHUNK of them. flush() parses the pending lines with one
-    np.loadtxt call and keeps the result only where line() would accept
-    every one of them with the same values (_parse_chunk); any other chunk
-    goes through line() one line at a time, from the state at the chunk's
-    start, so the first bad line raises as it would alone.
+    CorpusError each invalid one raises; _parse_chunk shares its frame-time
+    rule (_store_frames). add() collects data lines and flushes every CHUNK
+    of them. flush() parses the pending lines with one np.loadtxt call and
+    keeps the result only where line() would accept every one of them with
+    the same values (_parse_chunk); any other chunk goes through line() one
+    line at a time, from the state at the chunk's start, so the first bad
+    line raises as it would alone.
 
     np.loadtxt converts a token with the function float() uses and rejects
     trailing garbage, so a value it accepts is bit-identical to float()'s.
     What only float() accepts (1_0, non-ASCII digits) goes through line().
+    A frame index is read by float() itself in both paths.
     """
 
     def __init__(self, c, mode):
         self.c, self.mode, self.first = c, mode, 1 if mode == "video" else 2
         self.fps = None
-        self.seen, self.out = {}, []   # video mode: video_id -> line, predictions
-        self.groups = {}               # frame mode: video_id -> (times, rows), array("d")
+        self.seen = {}                 # video mode: video_id -> line
+        # each row's scores and (frame mode) time and video number, in file
+        # order; video_id -> its number (by first appearance), its latest time
+        self.buffer, self.times, self.video = array("d"), array("d"), array("q")
+        self.number, self.last = {}, {}
         self.pending = []              # (line number, stripped data line)
 
     def add(self, ln, line):
@@ -320,72 +325,75 @@ class _PredictionRows:
             raise CorpusError(f"expected {c} scores, got {len(bits) - first}", ln)
         if self.mode == "video":
             _check_new_video(self.seen, bits[0], ln)
-            scores = np.array([_parse_float(b, "score", ln) for b in bits[1:]])
-            self.out.append(VideoPredictions(bits[0], scores))
+            self.buffer.extend([_parse_float(b, "score", ln) for b in bits[1:]])
             return
         idx = _parse_float(bits[1], "frame index", ln)
         if idx < 0:
             raise CorpusError(f"negative frame index {bits[1]!r}", ln)
         scores = [_parse_float(b, "score", ln) for b in bits[2:]]
-        times, rows = self.groups.setdefault(bits[0], (array("d"), array("d")))
-        if times and idx / self.fps <= times[-1]:
+        if not self._store_frames([bits[0]], [idx / self.fps]):
             raise CorpusError(f"frame index not increasing for {bits[0]}", ln)
-        times.append(idx / self.fps)
-        rows.extend(scores)
+        self.buffer.extend(scores)
+
+    def _store_frames(self, ids, times):
+        """Store the video numbers and times of rows and return True if every
+        video's times rise strictly from its latest stored time; else store
+        nothing and return False."""
+        # video_id -> its latest time, these rows' earlier ones included
+        last = {vid: self.last.get(vid, -math.inf) for vid in dict.fromkeys(ids)}
+        for vid, t in zip(ids, times):
+            if t <= last[vid]:
+                return False
+            last[vid] = t
+        self.last.update(last)
+        self.times.extend(times)
+        self.video.extend([self.number.setdefault(vid, len(self.number)) for vid in ids])
+        return True
 
     def _parse_chunk(self):
         """Store the pending lines from one np.loadtxt call and return True,
         or return False, storing nothing, unless line() would accept them all:
-        the shape is (lines, columns), every value is finite, no video_id
+        the scores' shape is (lines, C), every value is finite, no video_id
         repeats (video mode), and frame indices are non-negative and every
         video's times rise strictly from its last stored time (frame mode)."""
         if self.mode == "frame" and self.fps is None:
             return False
-        parts = [line.split(None, 1) for _, line in self.pending]
+        parts = [line.split(None, self.first) for _, line in self.pending]
         try:
-            rests = [p[1] for p in parts]
-        except IndexError:   # a line with no score
+            rests = [p[self.first] for p in parts]
+            idx = np.array([float(p[1]) for p in parts]) if self.mode == "frame" else None
+        except (IndexError, ValueError):   # a line with no score; an index float() rejects
             return False
-        try:
+        try:   # the scores alone, so the buffer takes them without a copy
             a = np.loadtxt(rests, dtype=float, comments=None, ndmin=2)
         except ValueError:
             return False
-        if a.shape != (len(rests), self.first - 1 + self.c) or not np.isfinite(a).all():
+        if a.shape != (len(rests), self.c) or not np.isfinite(a).all():
             return False
         ids = [p[0] for p in parts]
         if self.mode == "video":
             if len(set(ids)) < len(ids) or not self.seen.keys().isdisjoint(ids):
                 return False
-            for (ln, _), vid, scores in zip(self.pending, ids, a):
-                self.seen[vid] = ln
-                self.out.append(VideoPredictions(vid, scores))
-            return True
-        if (a[:, 0] < 0).any():
+            self.seen.update((vid, ln) for (ln, _), vid in zip(self.pending, ids))
+        elif not (np.isfinite(idx) & (idx >= 0)).all() or \
+                not self._store_frames(ids, (idx / self.fps).tolist()):
             return False
-        t = a[:, 0] / self.fps
-        # runs [s, e) of consecutive lines of one video
-        starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
-        runs = list(zip(starts, starts[1:] + [len(ids)]))
-        last = {}   # video_id -> its latest time, this chunk's earlier runs included
-        for s, e in runs:
-            stored = self.groups.get(ids[s])
-            prev = last.get(ids[s], stored[0][-1] if stored else -math.inf)
-            if not (prev < t[s] and (t[s:e - 1] < t[s + 1:e]).all()):
-                return False
-            last[ids[s]] = t[e - 1]
-        scores = a[:, 1:]
-        for s, e in runs:
-            times, rows = self.groups.setdefault(ids[s], (array("d"), array("d")))
-            times.frombytes(t[s:e].tobytes())
-            rows.frombytes(scores[s:e].tobytes())
+        self.buffer.frombytes(memoryview(a).cast("B"))
         return True
 
     def result(self):
+        """The predictions, their scores views of the buffer, or of one
+        reorder of it where a video's frame lines are not consecutive."""
+        matrix = np.frombuffer(self.buffer).reshape(-1, self.c)
         if self.mode == "video":
-            return self.out
-        return [FramePredictions(vid, np.frombuffer(times),
-                                 np.frombuffer(rows).reshape(len(times), self.c))
-                for vid, (times, rows) in self.groups.items()]
+            return [VideoPredictions(vid, row) for vid, row in zip(self.seen, matrix)]
+        video, times = np.frombuffer(self.video, dtype=np.int64), np.frombuffer(self.times)
+        if (np.diff(video) < 0).any():
+            order = np.argsort(video, kind="stable")
+            times, matrix = times[order], matrix[order]
+        counts = np.bincount(video, minlength=len(self.number))
+        return [FramePredictions(vid, times[s:s + n], matrix[s:s + n]) for vid, s, n
+                in zip(self.number, np.cumsum(counts) - counts, counts)]
 
 
 def _aux_number(v, what, ln):

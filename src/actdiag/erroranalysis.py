@@ -56,7 +56,7 @@ def classify_top_items(items, keep, vocab, top_n=None):
     used_n = np.minimum(wanted, n_items)
     mask = used_n > 0
     for c in np.flatnonzero(mask):
-        n, s = used_n[c], items.scores[:, c]
+        n, s = used_n[c], items.column(c)
         cut = np.partition(s, n_items - n)[n_items - n]   # the n-th highest score
         above = np.flatnonzero(s > cut)
         tied = np.flatnonzero(s == cut)[:n - len(above)]     # ties in item order

@@ -159,15 +159,17 @@ def subset_constants(labels):
 
 def per_class_eval(scores, labels):
     """Per-class AP over an items x classes score/label pair, normalized by
-    the pair's subset_constants."""
-    n_items, n_classes = scores.shape
+    the pair's subset_constants. scores is an (N, C) array or a function of
+    c giving its column c (LocalizationItems.column)."""
+    column = scores if callable(scores) else lambda c: scores[:, c]
+    n_items, n_classes = labels.shape
     consts = subset_constants(labels)
     per_class = np.full(n_classes, np.nan)
     n_pos = labels.sum(axis=0)
     n_neg = n_items - n_pos
     mask = n_pos > 0
     for c in np.flatnonzero(mask):
-        per_class[c] = normalized_ap(scores[:, c], labels[:, c], consts)
+        per_class[c] = normalized_ap(column(c), labels[:, c], consts)
     mean_ap = float(per_class[mask].mean()) if mask.any() else float("nan")
     return EvalResult(per_class, mean_ap, mask, n_pos, n_neg)
 
@@ -219,9 +221,14 @@ class SampleGrid:
 
 @dataclass
 class LocalizationItems(SampleGrid):
-    """A prediction set's scores on a sample grid."""
-    scores: np.ndarray        # (N, C) scores of the nearest predicted frame
+    """A prediction set's scores on a sample grid, read a class at a time."""
+    frame_scores: np.ndarray  # (F, C) every predicted frame's scores
+    rows: np.ndarray          # (N,) the nearest predicted frame's row in it
     frame_rows: np.ndarray    # (N,) that frame's row in its video's predictions
+
+    def column(self, c):
+        """(N,) the items' scores for class c."""
+        return self.frame_scores[self.rows, c]
 
 
 def frame_labels(annotation, vocab, times):
@@ -245,17 +252,32 @@ def sample_grid(annotations, vocab, samples_per_video=25):
                       list(annotations))
 
 
+def _score_matrix(frames, n_classes):
+    """One (F, C) matrix of every video's frame scores and each video's first
+    row in it: the matrix that all the scores are row ranges of, as
+    corpus.load_predictions hands them out, or else one stack of them."""
+    base = frames[0].scores.base
+    if isinstance(base, np.ndarray) and base.flags.c_contiguous and base.size % n_classes == 0:
+        matrix = base.reshape(-1, n_classes)
+        first = [(f.scores.ctypes.data - matrix.ctypes.data) // matrix.strides[0] for f in frames]
+        if all(matrix[s:s + len(f.scores)].__array_interface__ == f.scores.__array_interface__
+               for f, s in zip(frames, first)):   # the same memory, shape and type
+            return matrix, np.array(first)
+    return (np.concatenate([f.scores for f in frames], dtype=float),
+            np.cumsum([0] + [len(f.scores) for f in frames])[:-1])
+
+
 def build_localization_items(preds, grid, what="frame predictions"):
     """Look up, for every grid item, the nearest predicted frame (within
     one frame period) of its video."""
-    n_videos = len(grid.annotations)
-    times = grid.times.reshape(n_videos, -1)
-    rows = np.empty(times.shape, dtype=int)
-    scores = np.empty(grid.labels.shape)
-    per_video = scores.reshape(n_videos, times.shape[1], -1)
-    for v, fp in enumerate(aligned_predictions(preds, grid.annotations, what)):
-        t = times[v]
+    times = grid.times.reshape(len(grid.annotations), -1)
+    rows = np.zeros(times.shape, dtype=int)   # a one-frame video's items read its frame
+    frames = aligned_predictions(preds, grid.annotations, what)
+    matrix, first = _score_matrix(frames, grid.labels.shape[1])
+    for fp, t, r in zip(frames, times, rows):
         ft = fp.frame_times
+        if len(ft) == 0:
+            raise ValueError(f"{fp.video_id}: no predicted frames")
         if len(ft) > 1:
             period = float(np.median(np.diff(ft)))
             nearest = np.clip(np.searchsorted(ft, t), 1, len(ft) - 1)
@@ -266,16 +288,14 @@ def build_localization_items(preds, grid, what="frame predictions"):
                 bad = t[dist > period + 1e-9][0]
                 raise ValueError(f"{fp.video_id}: no predicted frame within one "
                                  f"frame period of t={bad:.3f}s")
-        else:
-            nearest = np.zeros(len(t), dtype=int)
-        rows[v] = nearest
-        per_video[v] = fp.scores[nearest]
+            r[:] = nearest
     return LocalizationItems(grid.video_index, grid.times, grid.labels,
-                             grid.annotations, scores, rows.ravel())
+                             grid.annotations, matrix,
+                             (rows + first.reshape(-1, 1)).ravel(), rows.ravel())
 
 
 def localization_map(preds, annotations, vocab, samples_per_video=25):
     """Per-frame mAP over all (video, sampled time) items pooled per class."""
     items = build_localization_items(
         preds, sample_grid(annotations, vocab, samples_per_video))
-    return per_class_eval(items.scores, items.labels)
+    return per_class_eval(items.column, items.labels)

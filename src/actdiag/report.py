@@ -94,10 +94,11 @@ class RunConfig:
 
 
 def _is_frame_file(path):
+    """Whether the first line not blank nor another comment is ``#fps=``."""
     with open(path) as f:
         for line in f:
             line = line.strip()
-            if line:
+            if line and (line.startswith("#fps=") or not line.startswith("#")):
                 return line.startswith("#fps=")
     return False
 
@@ -140,7 +141,7 @@ class MethodResults:
 
     @cached_property
     def localization(self):
-        return metrics.per_class_eval(self.items.scores, self.items.labels)
+        return metrics.per_class_eval(self.items.column, self.items.labels)
 
     @cached_property
     def boundary_excluded(self):
@@ -854,6 +855,9 @@ def _add_common(p, train=False):
 def _parse_preds(pairs):
     if bad := [pair for pair in pairs if "=" not in pair]:
         raise SystemExit(f"--pred expects NAME=PATH, got {bad[0]!r}")
+    names = [pair.split("=", 1)[0] for pair in pairs]
+    if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
+        raise SystemExit(f"--pred names method {repeated[0]!r} more than once")
     return dict(pair.split("=", 1) for pair in pairs)
 
 

@@ -61,22 +61,21 @@ def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):
     annotations = items.annotations
     frames = aligned_predictions(preds, annotations, "frame predictions")
     rows = items.frame_rows.reshape(len(annotations), -1)
-    scores = np.empty_like(items.scores)
+    scores = np.empty(items.labels.shape)
     per_video = scores.reshape(rows.shape + scores.shape[1:])
     video_scores = np.empty(video_labels.shape)
-    loc_results, cls_maps = [], []
+    loc_maps, cls_maps = [], []
     for f in fractions:
         if f == 0:
-            loc_results.append(base_loc)
+            loc_maps.append(base_loc.mean_ap)
             cls_maps.append(base_cls.mean_ap)
             continue
         for v, (ann, fp) in enumerate(zip(annotations, frames)):
             smoothed = smooth_predictions(fp, f, ann.duration).scores
             per_video[v] = smoothed[rows[v]]
             video_scores[v] = smoothed.max(axis=0)
-        loc_results.append(per_class_eval(scores, items.labels))
+        loc_maps.append(per_class_eval(scores, items.labels).mean_ap)
         cls_maps.append(per_class_eval(video_scores, video_labels).mean_ap)
-    loc_maps = [r.mean_ap for r in loc_results]
     return SmoothingSweepResult(fractions, loc_maps, cls_maps,
                                 fractions[int(np.argmax(loc_maps))])
 

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from actdiag import corpus
 from actdiag.corpus import (CorpusError, dump_video_predictions,
                             load_annotations, load_auxiliary, load_predictions,
                             load_vocabulary, validate_corpus, VideoPredictions)
@@ -117,6 +118,33 @@ def test_load_frame_predictions():
     assert len(preds) == 1
     assert preds[0].scores.shape == (2, 3)
     assert np.allclose(preds[0].frame_times, [0.0, 0.5])
+
+
+def _frame_lines(videos=3, frames=4):
+    return [f"V{v} {t} {v} {t} 0.5" for v in range(videos) for t in range(frames)]
+
+
+def test_frame_scores_are_row_ranges_of_one_matrix():
+    # the rows of a file whose videos are grouped are parsed into one buffer
+    # that every video's scores is a view of, in file order
+    preds = load_predictions("#fps=1\n" + "\n".join(_frame_lines()), load_vocabulary(VOCAB),
+                             "frame")
+    matrix = preds[0].scores.base
+    assert matrix.nbytes == 12 * 3 * 8
+    assert all(np.shares_memory(p.scores, matrix) for p in preds)
+    assert np.concatenate([p.scores for p in preds]).tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1024, 2])
+def test_interleaved_frame_file_loads_as_its_grouped_twin(monkeypatch, chunk):
+    monkeypatch.setattr(corpus, "CHUNK", chunk)
+    v = load_vocabulary(VOCAB)
+    lines = _frame_lines()
+    grouped = load_predictions("#fps=1\n" + "\n".join(lines), v, "frame")
+    mixed = load_predictions("#fps=1\n" + "\n".join(lines[i * 4 + t] for t in range(4)
+                                                     for i in range(3)), v, "frame")
+    assert mixed == grouped
+    assert all(np.shares_memory(p.scores, mixed[0].scores.base) for p in mixed)
 
 
 def test_frame_predictions_require_fps_header():

@@ -110,10 +110,10 @@ def _ref_classify_top_items(items, keep, vocab, top_n=None):
     mask = np.zeros(n_classes, dtype=bool)
     for c in range(n_classes):
         n = int(active[:, c].sum()) if top_n is None else int(top_n)
-        n = min(n, items.scores.shape[0])
+        n = min(n, len(items.rows))
         if n == 0:
             continue
-        top = np.argsort(-items.scores[:, c], kind="stable")[:n]
+        top = np.argsort(-items.column(c), kind="stable")[:n]
         counts = dict.fromkeys(LABELS, 0)
         obj_cols = np.flatnonzero(same_obj[c])
         verb_cols = np.flatnonzero(same_verb[c])
@@ -145,7 +145,7 @@ def _random_items(seed, n=80):
     labels = rng.random(scores.shape) < rng.uniform(0.05, 0.4, len(VOCAB))
     labels[:, 2] &= seed % 3 != 0                    # sometimes no positive
     items = LocalizationItems(np.zeros(n, dtype=int), np.zeros(n), labels, [],
-                              scores, np.zeros(n, dtype=int))
+                              scores, np.arange(n), np.zeros(n, dtype=int))
     return items, rng.random(scores.shape) < 0.85
 
 

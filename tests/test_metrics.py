@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from actdiag.corpus import (FramePredictions, VideoPredictions,
-                            load_annotations, load_vocabulary)
+                            load_annotations, load_predictions, load_vocabulary)
 from actdiag import boundary, metrics
 from actdiag.metrics import (NormalizationConstants, LocalizationItems,
                              classification_map, interval_iou,
@@ -239,6 +241,52 @@ def test_localization_coverage_error():
         localization_map(preds, anns, vocab)
 
 
+def _scale_frame_corpus(n_videos=200, n_classes=157, frames=25):
+    """A vocabulary, annotations and a loaded frame predictions file whose
+    frames sit at the 25 sample times of each video."""
+    rng = np.random.default_rng(5)
+    vocab = load_vocabulary("".join(f"c{c},v{c % 9},o{c % 7}\n" for c in range(n_classes)))
+    durations = rng.uniform(10, 40, n_videos)
+    anns = load_annotations("".join(f"V{v},{d:.2f},c{v % n_classes} 1 5\n"
+                                    for v, d in enumerate(durations)), vocab)
+    lines = ["#fps=1.0"]
+    for a in anns:
+        for t, row in zip(sample_times(a.duration, frames),
+                          rng.random((frames, n_classes)).round(4)):
+            lines.append(f"{a.video_id} {float(t)!r} " + " ".join(map(str, row)))
+    return vocab, anns, load_predictions("\n".join(lines), vocab, "frame")
+
+
+def test_localization_items_index_the_loaded_matrix_without_copying_it():
+    vocab, anns, preds = _scale_frame_corpus()
+    grid = metrics.sample_grid(anns, vocab)
+    metrics.build_localization_items(preds, grid)   # np.median imports numpy.ma once
+    tracemalloc.start()
+    try:
+        items = metrics.build_localization_items(preds, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = grid.labels.size * 8   # one (N, C) float64 copy: 6.3 MB
+    assert peak < full / 10, f"items peaked at {peak / 1e6:.2f} MB"
+    assert np.shares_memory(items.frame_scores, preds[0].scores)
+    # each item reads its nearest frame's row, loaded or stacked by hand
+    copies = [FramePredictions(p.video_id, p.frame_times, p.scores.copy()) for p in preds]
+    for built in (items, metrics.build_localization_items(copies, grid)):
+        gathered = np.stack([built.column(c) for c in range(len(vocab))], axis=1)
+        want = np.concatenate([p.scores[r] for p, r in
+                               zip(preds, built.frame_rows.reshape(len(anns), -1))])
+        assert gathered.tobytes() == want.tobytes()
+
+
+def test_localization_of_a_video_without_frames_names_it():
+    vocab, anns = _toy_corpus()
+    preds = _frame_preds_from(anns, vocab)
+    preds[1] = FramePredictions(preds[1].video_id, np.zeros(0), np.zeros((0, len(vocab))))
+    with pytest.raises(ValueError, match=f"{preds[1].video_id}: no predicted frames"):
+        localization_map(preds, anns, vocab)
+
+
 def test_localization_constant_score_matches_brute_force():
     vocab = load_vocabulary(VOCAB)
     anns = load_annotations("V1,10,c000 0 5\n", vocab)
@@ -409,7 +457,8 @@ def test_evaluation_bits_match_the_rank_order_path(monkeypatch):
         keep[:, 1] = True
         keep[labels[:, 2], 2] = True                 # keep the single positive
         items = LocalizationItems(np.zeros(len(scores), dtype=int), np.zeros(len(scores)),
-                                  labels, [], scores, np.zeros(len(scores), dtype=int))
+                                  labels, [], scores, np.arange(len(scores)),
+                                  np.zeros(len(scores), dtype=int))
         weights = np.stack([np.bincount(rng.integers(0, len(scores), len(scores)),
                                         minlength=len(scores)) for _ in range(40)]
                            + [rng.random(len(scores)) < 0.5 for _ in range(40)]

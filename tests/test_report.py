@@ -711,6 +711,42 @@ def test_cli_rejects_bad_pred_argument(tmp_path):
               paths["test.csv"], "--pred", "no-equals-sign"])
 
 
+def test_cli_rejects_a_repeated_pred_name(tmp_path):
+    # the later path used to replace the earlier one without a word
+    paths = _write_corpus(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="'cnn'"):
+        main(["report", "--vocab", paths["vocab.csv"], "--test", paths["test.csv"],
+              "--pred", f"cnn={paths['cnn']}", "--pred", f"cnn={paths['svm']}",
+              "--out", str(out)])
+    assert not out.exists()
+
+
+def test_frame_file_with_a_leading_comment_is_read_as_frames(tmp_path, capsys):
+    paths = _write_corpus(tmp_path)
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# exported by x\n\n" + pathlib.Path(paths["cnn"]).read_text())
+    printed = []
+    for pred in (paths["cnn"], commented):
+        assert main(["eval", "--vocab", paths["vocab.csv"], "--test", paths["test.csv"],
+                     "--pred", f"cnn={pred}"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert "localization mAP" in printed[0] and printed[1] == printed[0]
+
+
+def test_interleaved_frame_file_writes_the_grouped_bundle(tmp_path):
+    paths = _write_corpus(tmp_path)
+    header, *lines = pathlib.Path(paths["cnn"]).read_text().splitlines()
+    mixed = tmp_path / "mixed.txt"   # 6 videos of 10 lines, one line of each in turn
+    mixed.write_text("\n".join([header] + [lines[v * 10 + t] for t in range(10)
+                                            for v in range(6)]) + "\n")
+    bundles = []
+    for out, pred in (("grouped", paths["cnn"]), ("mixed", str(mixed))):
+        run_report(_config(tmp_path, paths, out, predictions={"cnn": pred, "svm": paths["svm"]}))
+        bundles.append({f.name: f.read_bytes() for f in (tmp_path / out).iterdir()})
+    assert bundles[0] == bundles[1]
+
+
 def test_cli_subcommands_print_report_values(tmp_path, capsys):
     # every subcommand prints what the report computes, formatted alike
     paths = _write_corpus(tmp_path)

@@ -85,7 +85,7 @@ def test_smoothing_sweep_includes_zero_and_picks_best():
     items = build_localization_items(preds, sample_grid(anns, VOCAB))
     labels = labels_matrix(anns, VOCAB)
     res = sweep_items(preds, items, labels, (0.04, 0.16),
-                      per_class_eval(items.scores, items.labels),
+                      per_class_eval(items.column, items.labels),
                       per_class_eval(noisy.max(axis=0)[None], labels))
     assert res.fractions[0] == 0.0
     assert len(res.loc_map) == len(res.fractions) == 3
@@ -105,7 +105,7 @@ def test_smoothing_helps_noisy_long_instances():
     items = build_localization_items(preds, sample_grid(anns, VOCAB))
     labels = labels_matrix(anns, VOCAB)
     res = sweep_items(preds, items, labels, (0.08, 0.16, 0.32),
-                      per_class_eval(items.scores, items.labels),
+                      per_class_eval(items.column, items.labels),
                       per_class_eval(scores.max(axis=0)[None], labels))
     assert res.best_fraction > 0
 
