@@ -137,15 +137,19 @@ def _open(text):
     return text
 
 
-def _csv_rows(text):
-    """(line number, row) of each CSV row: the physical line, from 1, where
-    the row starts (a quoted field may span lines); a row the csv module
-    cannot read is a CorpusError."""
+def _csv_rows(text, header):
+    """(line number, row) of each CSV row but blank ones and a header (a
+    first non-blank row whose first cell is `header`): the physical line,
+    from 1, where the row starts (a quoted field may span lines); a row the
+    csv module cannot read is a CorpusError."""
     reader = csv.reader(_open(text))
     ln = 0   # the last line of the rows read so far
     try:
         for row in reader:
-            yield ln + 1, row
+            if row and (len(row) > 1 or row[0].strip()):
+                if row[0].strip().lower() != header:
+                    yield ln + 1, row
+                header = None   # no later row is a header
             ln = reader.line_num
     except csv.Error as e:
         raise CorpusError(f"bad CSV: {e}", ln + 1) from None
@@ -161,11 +165,7 @@ def load_vocabulary(text):
     """Parse vocabulary.csv into a Vocabulary."""
     categories = []
     seen = {}
-    for ln, row in _csv_rows(text):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if ln == 1 and row[0].strip().lower() == "class_id":
-            continue
+    for ln, row in _csv_rows(text, "class_id"):
         if len(row) < 3:
             raise CorpusError(f"expected class_id,verb_id,object_id[,description], got {row!r}", ln)
         cid, vid, oid = (x.strip() for x in row[:3])
@@ -204,11 +204,7 @@ def load_annotations(text, vocab):
     """Parse annotations.csv into a list of VideoAnnotation."""
     out = []
     seen = {}
-    for ln, row in _csv_rows(text):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if ln == 1 and row[0].strip().lower() == "video_id":
-            continue
+    for ln, row in _csv_rows(text, "video_id"):
         if len(row) < 2:
             raise CorpusError(f"expected video_id,duration,actions, got {row!r}", ln)
         video_id = row[0].strip()

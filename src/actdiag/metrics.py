@@ -267,6 +267,15 @@ def _score_matrix(frames, n_classes):
             np.cumsum([0] + [len(f.scores) for f in frames])[:-1])
 
 
+def frame_period(times):
+    """The spacing of two or more increasing frame times: the middle of the
+    sorted spacings, or the mean of the two middle ones, by np.median's
+    arithmetic (without the numpy.ma import its first call makes)."""
+    d = np.sort(np.diff(times))
+    m = len(d) // 2
+    return float(d[m] if len(d) % 2 else (d[m - 1] + d[m]) / 2)
+
+
 def build_localization_items(preds, grid, what="frame predictions"):
     """Look up, for every grid item, the nearest predicted frame (within
     one frame period) of its video."""
@@ -279,15 +288,13 @@ def build_localization_items(preds, grid, what="frame predictions"):
         if len(ft) == 0:
             raise ValueError(f"{fp.video_id}: no predicted frames")
         if len(ft) > 1:
-            period = float(np.median(np.diff(ft)))
             nearest = np.clip(np.searchsorted(ft, t), 1, len(ft) - 1)
             nearest = np.where(t - ft[nearest - 1] <= ft[nearest] - t,
                                nearest - 1, nearest)
-            dist = np.abs(ft[nearest] - t)
-            if np.any(dist > period + 1e-9):
-                bad = t[dist > period + 1e-9][0]
+            far = np.abs(ft[nearest] - t) > frame_period(ft) + 1e-9
+            if far.any():
                 raise ValueError(f"{fp.video_id}: no predicted frame within one "
-                                 f"frame period of t={bad:.3f}s")
+                                 f"frame period of t={t[far][0]:.3f}s")
             r[:] = nearest
     return LocalizationItems(grid.video_index, grid.times, grid.labels,
                              grid.annotations, matrix,

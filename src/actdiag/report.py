@@ -36,7 +36,7 @@ from .corpus import (load_annotations, load_auxiliary, load_predictions,
                      load_vocabulary, validate_corpus, dump_video_predictions)
 from .metrics import labels_matrix
 
-DEFAULT_SWEEP = (0.0, 0.01, 0.02, 0.04, 0.08, 0.16)
+SWEEP_FRACTIONS = (0.0, 0.01, 0.02, 0.04, 0.08, 0.16)   # smoothing windows / duration
 DEFAULT_INTENT_KS = (30, 50)
 POSE_CLUSTERS = 500
 
@@ -64,7 +64,6 @@ class RunConfig:
     reannotations: str = None
     seed: int = 0
     samples_per_video: int = 25
-    sweep_fractions: tuple = DEFAULT_SWEEP
     intent_ks: tuple = DEFAULT_INTENT_KS
     pose_k: int = POSE_CLUSTERS
     bootstrap_resamples: int = 10000
@@ -82,6 +81,8 @@ class RunConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in self.predictions:
             # a name is a table cell and a bundle file name
             if not name or re.search(r'[,"\s/\\]', name):
@@ -546,7 +547,7 @@ def _smoothing(ctx):
             sweeps[name] = "skipped: no frame predictions"
             continue
         sweep = temporal_mod.sweep_items(m.frame, m.items, ctx.labels,
-                                         ctx.config.sweep_fractions,
+                                         SWEEP_FRACTIONS,
                                          m.localization, m.classification)
         csvs[f"sweep_{name}.csv"] = _table(("fraction", "loc_map", "cls_map"),
                                            zip(sweep.fractions, sweep.loc_map,
@@ -636,7 +637,7 @@ def _report(ctx):
     _check_out(c.out)
     report = {"config": {
         "seed": c.seed, "samples_per_video": c.samples_per_video,
-        "sweep_fractions": list(c.sweep_fractions),
+        "sweep_fractions": list(SWEEP_FRACTIONS),
         "intent_ks": list(c.intent_ks),
         "bootstrap_resamples": c.bootstrap_resamples,
         "permutations": c.permutations, "bins": c.bins,

@@ -5,37 +5,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FramePredictions
-from .metrics import (aligned_predictions, frame_labels, grid_times,
-                      per_class_eval)
+from .metrics import (aligned_predictions, frame_labels, frame_period,
+                      grid_times, per_class_eval)
 
 
-def smooth_predictions(preds, window_fraction, duration):
-    """Centered moving average per class over a window of
-    window_fraction * duration seconds, truncated at the ends.
-
-    The window is converted to frames using the median frame period and
-    rounded to the nearest odd count >= 1; fraction 0 is the identity.
-    """
+def smooth_predictions(scores, times, window_fraction, duration):
+    """A new (F, C) array: the (F, C) scores at the (F,) frame times, each
+    class averaged over a centered window of window_fraction * duration
+    seconds, truncated at the ends. The window is converted to frames by
+    metrics.frame_period and rounded to the nearest odd count >= 1;
+    fraction 0 is the identity."""
     if not 0 <= window_fraction <= 1:
         raise ValueError(f"window_fraction {window_fraction} outside [0, 1]")
     w = 1
-    if window_fraction > 0 and len(preds.frame_times) >= 2:
-        period = float(np.median(np.diff(preds.frame_times)))
-        w = int(round(window_fraction * duration / period))
+    if window_fraction > 0 and len(times) >= 2:
+        frames = window_fraction * duration / frame_period(times)
+        w = int(round(frames))
         if w % 2 == 0:
-            w += 1 if w < window_fraction * duration / period else -1
+            w += 1 if w < frames else -1
     if w <= 1:
-        return FramePredictions(preds.video_id, preds.frame_times.copy(),
-                                preds.scores.copy())
+        return scores.copy()
     half = w // 2
-    n = preds.scores.shape[0]
-    cum = np.vstack([np.zeros((1, preds.scores.shape[1])),
-                     np.cumsum(preds.scores, axis=0)])
+    n = scores.shape[0]
+    cum = np.vstack([np.zeros((1, scores.shape[1])), np.cumsum(scores, axis=0)])
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)
-    smoothed = (cum[hi] - cum[lo]) / (hi - lo)[:, None]
-    return FramePredictions(preds.video_id, preds.frame_times.copy(), smoothed)
+    return (cum[hi] - cum[lo]) / (hi - lo)[:, None]
 
 
 @dataclass
@@ -61,8 +56,7 @@ def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):
     annotations = items.annotations
     frames = aligned_predictions(preds, annotations, "frame predictions")
     rows = items.frame_rows.reshape(len(annotations), -1)
-    scores = np.empty(items.labels.shape)
-    per_video = scores.reshape(rows.shape + scores.shape[1:])
+    scores = np.empty(rows.shape + video_labels.shape[1:])   # (V, items per video, C)
     video_scores = np.empty(video_labels.shape)
     loc_maps, cls_maps = [], []
     for f in fractions:
@@ -71,10 +65,10 @@ def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):
             cls_maps.append(base_cls.mean_ap)
             continue
         for v, (ann, fp) in enumerate(zip(annotations, frames)):
-            smoothed = smooth_predictions(fp, f, ann.duration).scores
-            per_video[v] = smoothed[rows[v]]
+            smoothed = smooth_predictions(fp.scores, fp.frame_times, f, ann.duration)
+            scores[v] = smoothed[rows[v]]
             video_scores[v] = smoothed.max(axis=0)
-        loc_maps.append(per_class_eval(scores, items.labels).mean_ap)
+        loc_maps.append(per_class_eval(scores.reshape(items.labels.shape), items.labels).mean_ap)
         cls_maps.append(per_class_eval(video_scores, video_labels).mean_ap)
     return SmoothingSweepResult(fractions, loc_maps, cls_maps,
                                 fractions[int(np.argmax(loc_maps))])

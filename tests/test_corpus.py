@@ -50,6 +50,24 @@ def test_annotation_errors_cite_physical_lines_after_a_multiline_field():
         load_annotations(text, v)
 
 
+def test_vocabulary_header_after_a_blank_line_is_a_header():
+    # the parent read the header as a category "class_id", so every score
+    # matrix gained a column
+    text = "\nclass_id,verb_id,object_id,description\nc000,v0,o0,x\n"
+    assert [c.id for c in load_vocabulary(text).categories] == ["c000"]
+    with pytest.raises(CorpusError, match=r"line 5: duplicate .*first seen line 3\)"):
+        load_vocabulary(text + "\nc000,v1,o1,dup\n")
+
+
+def test_annotations_header_after_a_blank_line_is_a_header():
+    # the parent read the header as data: "line 3: non-numeric duration: 'duration'"
+    v = load_vocabulary(VOCAB)
+    text = "\n \nvideo_id,duration,actions\nV0,30.0,c000 1 2\n"
+    assert [a.video_id for a in load_annotations(text, v)] == ["V0"]
+    with pytest.raises(CorpusError, match="line 5: non-numeric duration: 'x'"):
+        load_annotations(text + "V1,x,\n", v)
+
+
 @pytest.mark.parametrize("cid", ['"c,0"', '"c""0"', '"c 0"', '"c\t0"'])
 def test_vocabulary_rejects_an_id_no_table_can_carry(cid):
     with pytest.raises(CorpusError, match="line 3: class_id .* comma"):

@@ -260,7 +260,7 @@ def _scale_frame_corpus(n_videos=200, n_classes=157, frames=25):
 def test_localization_items_index_the_loaded_matrix_without_copying_it():
     vocab, anns, preds = _scale_frame_corpus()
     grid = metrics.sample_grid(anns, vocab)
-    metrics.build_localization_items(preds, grid)   # np.median imports numpy.ma once
+    metrics.build_localization_items(preds, grid)   # first-call allocations stay unmeasured
     tracemalloc.start()
     try:
         items = metrics.build_localization_items(preds, grid)
@@ -277,6 +277,18 @@ def test_localization_items_index_the_loaded_matrix_without_copying_it():
         want = np.concatenate([p.scores[r] for p, r in
                                zip(preds, built.frame_rows.reshape(len(anns), -1))])
         assert gathered.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 25, 26])
+def test_frame_period_is_the_median_spacing_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for fps in (24, 25, 29.97, 30):
+        for t in (np.arange(n) / fps,
+                  np.sort(rng.choice(10 * n, n, replace=False)) / fps,
+                  np.cumsum(rng.exponential(1 / fps, n)) + 100 * rng.random()):
+            period = metrics.frame_period(t)
+            assert type(period) is float
+            assert period == float(np.median(np.diff(t)))
 
 
 def test_localization_of_a_video_without_frames_names_it():

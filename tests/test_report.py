@@ -458,6 +458,34 @@ def test_config_rejects_method_names_that_break_a_cell_or_a_file_name(tmp_path, 
     assert not out.exists()
 
 
+def test_config_rejects_a_negative_seed(tmp_path):
+    # the parent read and evaluated every input, then failed inside the
+    # bootstrap with numpy's "expected non-negative integer"
+    paths = _write_corpus(tmp_path)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        RunConfig(vocab=str(tmp_path / "nope.csv"), test=str(tmp_path / "nope2"), seed=-1)
+    out = tmp_path / "negative"
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        main(["report", "--vocab", paths["vocab.csv"], "--test", paths["test.csv"],
+              "--pred", f"cnn={paths['cnn']}", "--seed", "-1", "--bootstrap", "20",
+              "--out", str(out)])
+    assert not out.exists()
+
+
+def test_eval_and_smooth_on_frames_do_not_import_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma; the frame period needs none
+    paths = _write_corpus(tmp_path)
+    code = ("import sys; from actdiag.report import main; main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(report_mod.__file__)))
+    for command in ("eval", "smooth"):
+        out = subprocess.run([sys.executable, "-c", code, command,
+                              "--vocab", paths["vocab.csv"], "--test", paths["test.csv"],
+                              "--pred", f"cnn={paths['cnn']}"],
+                             env=env, check=True, capture_output=True, text=True).stdout
+        assert "cnn" in out and out.splitlines()[-1] == "False", (command, out)
+
+
 def test_config_accepts_method_names_with_dots_dashes_and_underscores(tmp_path):
     paths = _write_corpus(tmp_path)
     config = _config(tmp_path, paths, predictions={"rgb-2.v_1": paths["svm"]})

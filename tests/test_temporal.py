@@ -28,50 +28,48 @@ def _preds(n=20, duration=10.0, seed=0):
 
 def test_smooth_zero_fraction_is_identity():
     p = _preds()
-    out = smooth_predictions(p, 0.0, 10.0)
-    assert np.array_equal(out.scores, p.scores)
-    assert out.scores is not p.scores
+    out = smooth_predictions(p.scores, p.frame_times, 0.0, 10.0)
+    assert np.array_equal(out, p.scores)
+    assert out is not p.scores
 
 
 def test_smooth_window_one_frame_is_identity():
     p = _preds()
-    out = smooth_predictions(p, 0.01, 10.0)   # 0.1 s window < one 0.5 s frame
-    assert np.array_equal(out.scores, p.scores)
+    out = smooth_predictions(p.scores, p.frame_times, 0.01, 10.0)   # 0.1 s < one 0.5 s frame
+    assert np.array_equal(out, p.scores)
 
 
 def test_smooth_hand_window_three():
     times = np.arange(10, dtype=float)
     scores = np.zeros((10, 1))
     scores[5, 0] = 1.0
-    p = FramePredictions("V1", times, scores)
-    out = smooth_predictions(p, 0.3, 10.0)    # 3 s / 1 s period -> 3 frames
+    out = smooth_predictions(scores, times, 0.3, 10.0)    # 3 s / 1 s period -> 3 frames
     want = np.zeros(10)
     want[4:7] = 1 / 3
-    assert np.allclose(out.scores[:, 0], want)
+    assert np.allclose(out[:, 0], want)
 
 
 def test_smooth_truncates_at_the_ends():
     times = np.arange(10, dtype=float)
     scores = np.zeros((10, 1))
     scores[0, 0] = 1.0
-    p = FramePredictions("V1", times, scores)
-    out = smooth_predictions(p, 0.3, 10.0)
+    out = smooth_predictions(scores, times, 0.3, 10.0)
     # first frame averages only itself and its right neighbor
-    assert out.scores[0, 0] == pytest.approx(1 / 2)
-    assert out.scores[1, 0] == pytest.approx(1 / 3)
-    assert out.scores[2, 0] == pytest.approx(0.0)
+    assert out[0, 0] == pytest.approx(1 / 2)
+    assert out[1, 0] == pytest.approx(1 / 3)
+    assert out[2, 0] == pytest.approx(0.0)
 
 
 def test_smooth_preserves_constant_signal():
-    p = FramePredictions("V1", np.arange(20, dtype=float),
-                         np.full((20, 2), 0.7))
-    out = smooth_predictions(p, 0.5, 20.0)
-    assert np.allclose(out.scores, 0.7)
+    out = smooth_predictions(np.full((20, 2), 0.7), np.arange(20, dtype=float),
+                             0.5, 20.0)
+    assert np.allclose(out, 0.7)
 
 
 def test_smooth_rejects_bad_fraction():
+    p = _preds()
     with pytest.raises(ValueError):
-        smooth_predictions(_preds(), 1.5, 10.0)
+        smooth_predictions(p.scores, p.frame_times, 1.5, 10.0)
 
 
 def test_smoothing_sweep_includes_zero_and_picks_best():

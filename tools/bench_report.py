@@ -12,15 +12,19 @@ process with OPENBLAS_NUM_THREADS=1, at --workers 1 and --workers 8 in
 turn, REPEATS times. The report has no thread pool, so both worker counts
 run the same code. A run's wall time, CPU time (user + system) and
 peak RSS (ru_maxrss) come from os.wait4. This process imports no numpy, so
-the children's peak RSS holds nothing of it.
+the children's peak RSS holds nothing of it. After each run the sha256 of
+the bundle it wrote (file names and bytes, in name order) is taken; the
+script fails when two runs of one label wrote different bundles.
 
 The runs are stored under --label beside os.cpu_count(); the other labels
 already in the file are kept, so one file can compare two source trees,
 such as a `git archive` of a parent commit ("before") and this checkout
-("after"), measured in one session.
+("after"), measured in one session. Equal `bundle_sha256` values under two
+labels show that the two trees wrote the same bytes.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -45,10 +49,23 @@ def run(cmd, env):
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
-    if os.waitstatus_to_exitcode(status) != 0:
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed")
     return {"wall_s": round(wall, 2), "cpu_s": round(usage.ru_utime + usage.ru_stime, 2),
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+
+
+def bundle_sha256(out):
+    """sha256 of a bundle directory: each file's name, size and bytes, in
+    name order."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as f:
+            data = f.read()
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def main():
@@ -59,6 +76,7 @@ def main():
     src = os.path.abspath(args.src)
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED="0")
     runs = {f"workers_{w}": [] for w in WORKERS}
+    hashes = set()
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([sys.executable, "-c", WRITE_CORPUS, tmp,
                         os.path.join(ROOT, "tests"), src], check=True)
@@ -69,7 +87,10 @@ def main():
                        "--train", f"{tmp}/train.csv", "--pred", f"cnn={tmp}/pred.txt",
                        "--out", f"{tmp}/out", "--workers", str(w)]
                 runs[f"workers_{w}"].append(run(cmd, env))
+                hashes.add(bundle_sha256(f"{tmp}/out"))
                 print(args.label, w, runs[f"workers_{w}"][-1], flush=True)
+    if len(hashes) != 1:
+        raise SystemExit(f"{args.label}: the runs wrote {len(hashes)} different bundles")
     bench = {}
     if os.path.exists(OUT):
         with open(OUT) as f:
@@ -77,8 +98,9 @@ def main():
     bench["cpu_count"] = os.cpu_count()
     bench["python"] = platform.python_version()
     bench.setdefault("runs", {})[args.label] = {
-        key: {"median": {m: statistics.median(r[m] for r in rs) for m in rs[0]}, "runs": rs}
-        for key, rs in runs.items()}
+        "bundle_sha256": hashes.pop(),
+        **{key: {"median": {m: statistics.median(r[m] for r in rs) for m in rs[0]}, "runs": rs}
+           for key, rs in runs.items()}}
     with open(OUT, "w") as f:
         json.dump(bench, f, indent=2)
         f.write("\n")
