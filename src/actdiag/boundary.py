@@ -208,11 +208,5 @@ def excluded_eval(items, keep):
 def perfect_classifier_localization(annotations, vocab, samples_per_video=25):
     """Localization score of an oracle that emits each video's binary
     class-presence vector at every frame."""
-    return perfect_classifier_eval(sample_grid(annotations, vocab, samples_per_video),
-                                   labels_matrix(annotations, vocab))
-
-
-def perfect_classifier_eval(grid, video_labels):
-    """perfect_classifier_localization on a sample grid, given the (V, C)
-    video labels of its annotations."""
-    return per_class_eval(video_labels[grid.video_index], grid.labels)
+    grid = sample_grid(annotations, vocab, samples_per_video)
+    return per_class_eval(labels_matrix(annotations, vocab)[grid.video_index], grid.labels)

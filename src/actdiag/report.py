@@ -426,7 +426,7 @@ def _evaluation(ctx):
 
 
 def _perfect_classifier(ctx):
-    res = boundary_mod.perfect_classifier_eval(ctx.grid, ctx.labels)
+    res = metrics.per_class_eval(ctx.labels[ctx.grid.video_index], ctx.grid.labels)
     return ({"perfect_classifier_localization_map": res.mean_ap},
             {"perfect_classifier_localization.csv": _eval_table(res, ctx.vocab)})
 
@@ -695,14 +695,6 @@ def _render_summary(report):
     return "\n".join(lines)
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
-
-
 # Every name a bundle file can have; a test checks each name a report writes.
 BUNDLE_NAME = re.compile(
     r"report\.json|summary\.md|oracle_\w+\.preds|(classification|localization|boundary_excluded"
@@ -735,7 +727,7 @@ def _write_bundle(out_dir, report, csvs):
     tmp, old = f"{out}.tmp-{os.getpid()}", f"{out}.old-{os.getpid()}"
     os.makedirs(tmp)
     try:
-        files = {"report.json": json.dumps(report, indent=2, default=_json_default) + "\n",
+        files = {"report.json": json.dumps(report, indent=2) + "\n",
                  "summary.md": _render_summary(report), **csvs}
         for name, text in files.items():
             with open(os.path.join(tmp, name), "w") as f:
@@ -780,7 +772,7 @@ def _print_boundary(ctx):
 def _print_agreement(ctx):
     if ctx.reannotations is None:
         raise SystemExit("agreement requires --reannotations")
-    print(json.dumps(_agreement(ctx)[0]["agreement"], indent=2, default=_json_default))
+    print(json.dumps(_agreement(ctx)[0]["agreement"], indent=2))
 
 
 def _print_errors(ctx):
@@ -803,7 +795,7 @@ def _print_correlate(ctx):
 
 
 def _print_oracles(ctx):
-    print(json.dumps(_oracles(ctx)[0]["oracles"], indent=2, default=_json_default))
+    print(json.dumps(_oracles(ctx)[0]["oracles"], indent=2))
 
 
 def _print_smooth(ctx):

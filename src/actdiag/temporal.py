@@ -9,20 +9,26 @@ from .metrics import (aligned_predictions, frame_labels, frame_period,
                       grid_times, per_class_eval)
 
 
-def smooth_predictions(scores, times, window_fraction, duration):
-    """A new (F, C) array: the (F, C) scores at the (F,) frame times, each
-    class averaged over a centered window of window_fraction * duration
-    seconds, truncated at the ends. The window is converted to frames by
-    metrics.frame_period and rounded to the nearest odd count >= 1;
-    fraction 0 is the identity."""
+def window_frames(times, window_fraction, duration):
+    """The odd frame count of a centered window of window_fraction * duration
+    seconds over a video's (F,) frame times: the seconds over
+    metrics.frame_period, rounded to the nearest odd count >= 1, an even
+    count going down. A count within a relative 1e-9 of a whole number is
+    that number, so rounding noise cannot settle a tie. Fraction 0, or a
+    video with one frame, gives 1."""
     if not 0 <= window_fraction <= 1:
         raise ValueError(f"window_fraction {window_fraction} outside [0, 1]")
-    w = 1
-    if window_fraction > 0 and len(times) >= 2:
-        frames = window_fraction * duration / frame_period(times)
-        w = int(round(frames))
-        if w % 2 == 0:
-            w += 1 if w < frames else -1
+    if window_fraction == 0 or len(times) < 2:
+        return 1
+    frames = window_fraction * duration / frame_period(times)
+    if abs(frames - round(frames)) <= 1e-9 * frames:
+        frames = round(frames)
+    return 2 * int(np.ceil(frames / 2)) - 1
+
+
+def smooth_predictions(scores, w):
+    """A new (F, C) array: each class of the (F, C) scores averaged over a
+    centered window of w frames (odd), truncated at the ends."""
     if w <= 1:
         return scores.copy()
     half = w // 2
@@ -44,32 +50,37 @@ class SmoothingSweepResult:
 def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):
     """Evaluate localization and classification mAP of the frame
     predictions `preds` across smoothing window fractions (0 is always
-    included); the best fraction is chosen by localization mAP.
+    included); the best fraction is the first with the highest
+    localization mAP.
 
     items are the localization items of `preds` and video_labels the (V, C)
     labels of their annotations. base_loc and base_cls are the unsmoothed
-    localization and classification results, which fraction 0 reports.
-    Smoothing keeps frame times, so a smoothed video's items are its
-    smoothed frames at the items' frame rows; one video is smoothed at a
-    time."""
+    localization and classification results, which every fraction whose
+    window is one frame in every video reports. Each distinct set of
+    per-video windows (window_frames) is evaluated once. Smoothing keeps
+    frame times, so a smoothed video's items are its smoothed frames at the
+    items' frame rows; one video is smoothed at a time."""
     fractions = sorted(set(float(f) for f in fractions) | {0.0})
     annotations = items.annotations
     frames = aligned_predictions(preds, annotations, "frame predictions")
     rows = items.frame_rows.reshape(len(annotations), -1)
     scores = np.empty(rows.shape + video_labels.shape[1:])   # (V, items per video, C)
     video_scores = np.empty(video_labels.shape)
+    maps = {(1,) * len(frames): (base_loc.mean_ap, base_cls.mean_ap)}
     loc_maps, cls_maps = [], []
     for f in fractions:
-        if f == 0:
-            loc_maps.append(base_loc.mean_ap)
-            cls_maps.append(base_cls.mean_ap)
-            continue
-        for v, (ann, fp) in enumerate(zip(annotations, frames)):
-            smoothed = smooth_predictions(fp.scores, fp.frame_times, f, ann.duration)
-            scores[v] = smoothed[rows[v]]
-            video_scores[v] = smoothed.max(axis=0)
-        loc_maps.append(per_class_eval(scores.reshape(items.labels.shape), items.labels).mean_ap)
-        cls_maps.append(per_class_eval(video_scores, video_labels).mean_ap)
+        windows = tuple(window_frames(fp.frame_times, f, ann.duration)
+                        for ann, fp in zip(annotations, frames))
+        if windows not in maps:
+            for v, (fp, w) in enumerate(zip(frames, windows)):
+                smoothed = fp.scores if w == 1 else smooth_predictions(fp.scores, w)
+                scores[v] = smoothed[rows[v]]
+                video_scores[v] = smoothed.max(axis=0)
+            maps[windows] = (
+                per_class_eval(scores.reshape(items.labels.shape), items.labels).mean_ap,
+                per_class_eval(video_scores, video_labels).mean_ap)
+        loc_maps.append(maps[windows][0])
+        cls_maps.append(maps[windows][1])
     return SmoothingSweepResult(fractions, loc_maps, cls_maps,
                                 fractions[int(np.argmax(loc_maps))])
 

@@ -3,10 +3,12 @@ import pytest
 
 from actdiag.corpus import (ActivityInstance, FramePredictions,
                             VideoAnnotation, load_vocabulary)
-from actdiag.metrics import (build_localization_items, labels_matrix,
+from actdiag import temporal
+from actdiag.metrics import (build_localization_items, frame_period, labels_matrix,
                              per_class_eval, sample_grid)
+from actdiag.report import SWEEP_FRACTIONS
 from actdiag.temporal import (overlap_stats, score_context_benefit,
-                              smooth_predictions, sweep_items)
+                              smooth_predictions, sweep_items, window_frames)
 
 VOCAB = load_vocabulary("""class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -28,14 +30,14 @@ def _preds(n=20, duration=10.0, seed=0):
 
 def test_smooth_zero_fraction_is_identity():
     p = _preds()
-    out = smooth_predictions(p.scores, p.frame_times, 0.0, 10.0)
+    out = smooth_predictions(p.scores, window_frames(p.frame_times, 0.0, 10.0))
     assert np.array_equal(out, p.scores)
     assert out is not p.scores
 
 
 def test_smooth_window_one_frame_is_identity():
     p = _preds()
-    out = smooth_predictions(p.scores, p.frame_times, 0.01, 10.0)   # 0.1 s < one 0.5 s frame
+    out = smooth_predictions(p.scores, window_frames(p.frame_times, 0.01, 10.0))   # 0.1 s < one 0.5 s frame
     assert np.array_equal(out, p.scores)
 
 
@@ -43,7 +45,7 @@ def test_smooth_hand_window_three():
     times = np.arange(10, dtype=float)
     scores = np.zeros((10, 1))
     scores[5, 0] = 1.0
-    out = smooth_predictions(scores, times, 0.3, 10.0)    # 3 s / 1 s period -> 3 frames
+    out = smooth_predictions(scores, window_frames(times, 0.3, 10.0))    # 3 s / 1 s period -> 3 frames
     want = np.zeros(10)
     want[4:7] = 1 / 3
     assert np.allclose(out[:, 0], want)
@@ -53,7 +55,7 @@ def test_smooth_truncates_at_the_ends():
     times = np.arange(10, dtype=float)
     scores = np.zeros((10, 1))
     scores[0, 0] = 1.0
-    out = smooth_predictions(scores, times, 0.3, 10.0)
+    out = smooth_predictions(scores, window_frames(times, 0.3, 10.0))
     # first frame averages only itself and its right neighbor
     assert out[0, 0] == pytest.approx(1 / 2)
     assert out[1, 0] == pytest.approx(1 / 3)
@@ -61,15 +63,15 @@ def test_smooth_truncates_at_the_ends():
 
 
 def test_smooth_preserves_constant_signal():
-    out = smooth_predictions(np.full((20, 2), 0.7), np.arange(20, dtype=float),
-                             0.5, 20.0)
+    out = smooth_predictions(np.full((20, 2), 0.7),
+                             window_frames(np.arange(20, dtype=float), 0.5, 20.0))
     assert np.allclose(out, 0.7)
 
 
 def test_smooth_rejects_bad_fraction():
     p = _preds()
     with pytest.raises(ValueError):
-        smooth_predictions(p.scores, p.frame_times, 1.5, 10.0)
+        window_frames(p.frame_times, 1.5, 10.0)
 
 
 def test_smoothing_sweep_includes_zero_and_picks_best():
@@ -106,6 +108,140 @@ def test_smoothing_helps_noisy_long_instances():
                       per_class_eval(items.column, items.labels),
                       per_class_eval(scores.max(axis=0)[None], labels))
     assert res.best_fraction > 0
+
+
+def _sweep_inputs(anns, preds):
+    items = build_localization_items(preds, sample_grid(anns, VOCAB))
+    labels = labels_matrix(anns, VOCAB)
+    video = np.stack([p.scores.max(axis=0) for p in preds])
+    return (items, labels, per_class_eval(items.column, items.labels),
+            per_class_eval(video, labels))
+
+
+def _random_instances(rng, duration):
+    return [(f"c00{rng.integers(3)}", *sorted(rng.uniform(0.0, duration, 2)))
+            for _ in range(rng.integers(1, 4))]
+
+
+def _irregular_corpus(seed):
+    """Videos of 1 to 40 frames at jittered times, so frame periods and
+    windows differ between videos; the first video has one frame."""
+    rng = np.random.default_rng(seed)
+    anns, preds = [], []
+    for v in range(12):
+        duration = float(rng.uniform(5.0, 60.0))
+        n = 1 if v == 0 else int(rng.integers(2, 41))
+        times = (np.arange(n) + 0.5 + rng.uniform(-0.2, 0.2, n)) * duration / n
+        anns.append(ann(f"V{v}", duration, *_random_instances(rng, duration)))
+        preds.append(FramePredictions(f"V{v}", times, rng.random((n, len(VOCAB)))))
+    return anns, preds
+
+
+def _corpus25(seed, n_videos=30):
+    """25 frames per video at the sample times, as in the benchmark corpora."""
+    rng = np.random.default_rng(seed)
+    anns, preds = [], []
+    for v in range(n_videos):
+        duration = float(rng.uniform(10.0, 40.0))
+        anns.append(ann(f"V{v}", duration, *_random_instances(rng, duration)))
+        preds.append(FramePredictions(f"V{v}", (np.arange(25) + 0.5) * duration / 25,
+                                      rng.random((25, len(VOCAB)))))
+    return anns, preds
+
+
+def _smoothed_loop(anns, preds, items, labels, fractions):
+    """Smooth every video at every fraction and evaluate each fraction."""
+    rows = items.frame_rows.reshape(len(anns), -1)
+    loc, cls = [], []
+    for f in fractions:
+        smoothed = []
+        for a, p in zip(anns, preds):
+            w = 1
+            if f > 0 and len(p.frame_times) >= 2:
+                frames = f * a.duration / frame_period(p.frame_times)
+                w = int(round(frames))
+                if w % 2 == 0:
+                    w += 1 if w < frames else -1
+            if w <= 1:
+                smoothed.append(p.scores.copy())
+                continue
+            half, n = w // 2, len(p.scores)
+            cum = np.vstack([np.zeros((1, p.scores.shape[1])), np.cumsum(p.scores, axis=0)])
+            lo = np.maximum(np.arange(n) - half, 0)
+            hi = np.minimum(np.arange(n) + half + 1, n)
+            smoothed.append((cum[hi] - cum[lo]) / (hi - lo)[:, None])
+        loc.append(per_class_eval(np.concatenate([s[r] for s, r in zip(smoothed, rows)]),
+                                  items.labels).mean_ap)
+        cls.append(per_class_eval(np.stack([s.max(axis=0) for s in smoothed]),
+                                  labels).mean_ap)
+    return loc, cls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sweep_equals_smoothing_every_video_at_every_fraction(seed):
+    anns, preds = _irregular_corpus(seed)
+    items, labels, base_loc, base_cls = _sweep_inputs(anns, preds)
+    fractions = (0.0, 0.01, 0.03, 0.05, 0.1, 0.2, 0.45, 1.0)
+    windows = [{window_frames(p.frame_times, f, a.duration) for a, p in zip(anns, preds)}
+               for f in fractions]
+    assert any(1 in ws and len(ws) > 2 for ws in windows)
+    res = sweep_items(preds, items, labels, fractions, base_loc, base_cls)
+    loc, cls = _smoothed_loop(anns, preds, items, labels, fractions)
+    assert res.fractions == list(fractions)
+    assert res.loc_map == loc
+    assert res.cls_map == cls
+    assert res.best_fraction == fractions[loc.index(max(loc))]
+
+
+@pytest.mark.parametrize("corpus", [_corpus25, _irregular_corpus])
+def test_sweep_smooths_and_evaluates_each_distinct_set_of_windows_once(monkeypatch, corpus):
+    anns, preds = corpus(5)
+    items, labels, base_loc, base_cls = _sweep_inputs(anns, preds)
+    fractions = (0.0, 0.01, 0.02, 0.04, 0.08, 0.16, 0.2, 0.32, 0.5)
+    smoothed, evals = [], []
+
+    def smooth(scores, w):
+        smoothed.append(w)
+        return smooth_predictions(scores, w)
+
+    def evaluate(scores, labels):
+        evals.append(labels.shape)
+        return per_class_eval(scores, labels)
+    monkeypatch.setattr(temporal, "smooth_predictions", smooth)
+    monkeypatch.setattr(temporal, "per_class_eval", evaluate)
+    sweep_items(preds, items, labels, fractions, base_loc, base_cls)
+    distinct = {tuple(window_frames(p.frame_times, f, a.duration) for a, p in zip(anns, preds))
+                for f in fractions} - {(1,) * len(anns)}
+    assert sorted(smoothed) == sorted(w for ws in distinct for w in ws if w > 1)
+    assert len(evals) == 2 * len(distinct)
+
+
+def test_25_frame_sweep_smooths_one_set_of_windows(monkeypatch):
+    anns, preds = _corpus25(6)
+    items, labels, base_loc, base_cls = _sweep_inputs(anns, preds)
+    calls = []
+    monkeypatch.setattr(temporal, "per_class_eval",
+                        lambda *a: calls.append(1) or per_class_eval(*a))
+    res = sweep_items(preds, items, labels, SWEEP_FRACTIONS, base_loc, base_cls)
+    assert len(calls) == 2                                # fraction 0.16 alone smooths
+    assert res.loc_map[:5] == [base_loc.mean_ap] * 5
+    assert res.cls_map[:5] == [base_cls.mean_ap] * 5
+
+
+def test_window_rule_settles_rounding_noise_as_a_whole_count():
+    anns, preds = _corpus25(7)
+    counts = [[f * a.duration / frame_period(p.frame_times) for a, p in zip(anns, preds)]
+              for f in (0.08, 0.16)]
+    for c, whole in zip(counts, (2, 4)):
+        assert min(c) < whole < max(c)                  # the noise falls on both sides
+    assert {window_frames(p.frame_times, 0.08, a.duration) for a, p in zip(anns, preds)} == {1}
+    assert {window_frames(p.frame_times, 0.16, a.duration) for a, p in zip(anns, preds)} == {3}
+    items, labels, base_loc, base_cls = _sweep_inputs(anns, preds)
+    res = sweep_items(preds, items, labels, (0.08,), base_loc, base_cls)
+    assert res.loc_map == [base_loc.mean_ap] * 2
+    assert res.cls_map == [base_cls.mean_ap] * 2
+    assert window_frames(np.arange(10.0), 0.2, 10.0) == 1    # an exact tie goes down
+    assert window_frames(np.arange(10.0), 0.2 * (1 + 1e-6), 10.0) == 3
 
 
 def test_context_benefit_hand():

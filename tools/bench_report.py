@@ -1,26 +1,28 @@
 """Time the north-star `actdiag report` run and record it in
 BENCH_report.json at the root of the checkout.
 
-    python tools/bench_report.py [--src DIR] [--label NAME]
+    python tools/bench_report.py [--tree LABEL=SRC ...]
 
 The corpus is the acceptance suite's _write_scale_corpus (1863 test and
-1863 training videos, 157 classes, 25 frames per video), written to a
+1863 training videos, 157 classes, 25 frames per video), written once to a
 temporary directory by a child process; the report takes its default
 10 000 bootstrap resamples. Each run is `python -m actdiag.report report`
-from the sources under --src (default: this checkout's src/) in a fresh
-process with OPENBLAS_NUM_THREADS=1, at --workers 1 and --workers 8 in
-turn, REPEATS times. The report has no thread pool, so both worker counts
-run the same code. A run's wall time, CPU time (user + system) and
-peak RSS (ru_maxrss) come from os.wait4. This process imports no numpy, so
-the children's peak RSS holds nothing of it. After each run the sha256 of
-the bundle it wrote (file names and bytes, in name order) is taken; the
-script fails when two runs of one label wrote different bundles.
+from the sources of one --tree (default: after=<this checkout>/src) in a
+fresh process with OPENBLAS_NUM_THREADS=1, at --workers 1 and --workers 8
+in turn. The report has no thread pool, so both worker counts run the same
+code. A run's wall time, CPU time (user + system) and peak RSS (ru_maxrss)
+come from os.wait4. This process imports no numpy, so the children's peak
+RSS holds nothing of it. After each run the sha256 of the bundle it wrote
+(file names and bytes, in name order) is taken; the script fails when two
+runs of one tree wrote different bundles.
 
-The runs are stored under --label beside os.cpu_count(); the other labels
-already in the file are kept, so one file can compare two source trees,
-such as a `git archive` of a parent commit ("before") and this checkout
-("after"), measured in one session. Equal `bundle_sha256` values under two
-labels show that the two trees wrote the same bytes.
+The trees run alternately, REPEATS rounds, and each round starts with the
+next tree in turn, so host drift falls on every tree alike. Pass a
+`git archive` of a parent commit as `--tree before=DIR/src` beside the
+default to compare it with this checkout. Each tree's runs are stored
+under its label beside os.cpu_count(); other labels already in the file
+are kept. Equal `bundle_sha256` values under two labels show that the two
+trees wrote the same bytes.
 """
 
 import argparse
@@ -68,39 +70,51 @@ def bundle_sha256(out):
     return h.hexdigest()
 
 
+def tree(arg):
+    label, sep, src = arg.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {arg!r}")
+    return label, os.path.abspath(src)
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--src", default=os.path.join(ROOT, "src"))
-    p.add_argument("--label", default="after")
-    args = p.parse_args()
-    src = os.path.abspath(args.src)
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED="0")
-    runs = {f"workers_{w}": [] for w in WORKERS}
-    hashes = set()
+    p.add_argument("--tree", action="append", type=tree, metavar="LABEL=SRC")
+    trees = p.parse_args().tree or [("after", os.path.join(ROOT, "src"))]
+    if len(dict(trees)) != len(trees):
+        p.error("each --tree needs its own label")
+    runs = {label: {f"workers_{w}": [] for w in WORKERS} for label, _ in trees}
+    hashes = {label: set() for label, _ in trees}
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([sys.executable, "-c", WRITE_CORPUS, tmp,
-                        os.path.join(ROOT, "tests"), src], check=True)
-        for _ in range(REPEATS):
-            for w in WORKERS:
-                cmd = [sys.executable, "-m", "actdiag.report", "report",
-                       "--vocab", f"{tmp}/vocab.csv", "--test", f"{tmp}/test.csv",
-                       "--train", f"{tmp}/train.csv", "--pred", f"cnn={tmp}/pred.txt",
-                       "--out", f"{tmp}/out", "--workers", str(w)]
-                runs[f"workers_{w}"].append(run(cmd, env))
-                hashes.add(bundle_sha256(f"{tmp}/out"))
-                print(args.label, w, runs[f"workers_{w}"][-1], flush=True)
-    if len(hashes) != 1:
-        raise SystemExit(f"{args.label}: the runs wrote {len(hashes)} different bundles")
+                        os.path.join(ROOT, "tests"), trees[0][1]], check=True)
+        for i in range(REPEATS):
+            for label, src in trees[i % len(trees):] + trees[:i % len(trees)]:
+                env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                           PYTHONHASHSEED="0")
+                for w in WORKERS:
+                    cmd = [sys.executable, "-m", "actdiag.report", "report",
+                           "--vocab", f"{tmp}/vocab.csv", "--test", f"{tmp}/test.csv",
+                           "--train", f"{tmp}/train.csv", "--pred", f"cnn={tmp}/pred.txt",
+                           "--out", f"{tmp}/out", "--workers", str(w)]
+                    runs[label][f"workers_{w}"].append(run(cmd, env))
+                    hashes[label].add(bundle_sha256(f"{tmp}/out"))
+                    print(label, w, runs[label][f"workers_{w}"][-1], flush=True)
+    for label, h in hashes.items():
+        if len(h) != 1:
+            raise SystemExit(f"{label}: the runs wrote {len(h)} different bundles")
     bench = {}
     if os.path.exists(OUT):
         with open(OUT) as f:
             bench = json.load(f)
     bench["cpu_count"] = os.cpu_count()
     bench["python"] = platform.python_version()
-    bench.setdefault("runs", {})[args.label] = {
-        "bundle_sha256": hashes.pop(),
-        **{key: {"median": {m: statistics.median(r[m] for r in rs) for m in rs[0]}, "runs": rs}
-           for key, rs in runs.items()}}
+    for label, by_workers in runs.items():
+        bench.setdefault("runs", {})[label] = {
+            "bundle_sha256": hashes[label].pop(),
+            **{key: {"median": {m: statistics.median(r[m] for r in rs) for m in rs[0]},
+                     "runs": rs}
+               for key, rs in by_workers.items()}}
     with open(OUT, "w") as f:
         json.dump(bench, f, indent=2)
         f.write("\n")
