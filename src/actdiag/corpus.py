@@ -166,7 +166,7 @@ def load_vocabulary(text):
     categories = []
     seen = {}
     for ln, row in _csv_rows(text, "class_id"):
-        if len(row) < 3:
+        if not 3 <= len(row) <= 4:
             raise CorpusError(f"expected class_id,verb_id,object_id[,description], got {row!r}", ln)
         cid, vid, oid = (x.strip() for x in row[:3])
         desc = row[3].strip() if len(row) > 3 else ""
@@ -205,8 +205,8 @@ def load_annotations(text, vocab):
     out = []
     seen = {}
     for ln, row in _csv_rows(text, "video_id"):
-        if len(row) < 2:
-            raise CorpusError(f"expected video_id,duration,actions, got {row!r}", ln)
+        if not 2 <= len(row) <= 4:
+            raise CorpusError(f"expected video_id,duration[,actions[,dataset]], got {row!r}", ln)
         video_id = row[0].strip()
         _check_id(video_id, "video_id", ln)
         _check_new_video(seen, video_id, ln)
@@ -422,6 +422,8 @@ def load_auxiliary(text):
             raise CorpusError(f"record must be a JSON object, got {obj!r}", ln)
         if "video_id" not in obj or "frame_time" not in obj:
             raise CorpusError("record needs video_id and frame_time", ln)
+        if not isinstance(obj["video_id"], str):
+            raise CorpusError(f"video_id must be a JSON string, got {obj['video_id']!r}", ln)
         box = obj.get("person_box")
         if box is not None:
             box = _aux_numbers(box, 4, "person_box", ln)
@@ -443,7 +445,7 @@ def load_auxiliary(text):
             raise CorpusError(f"person_count must be a non-negative integer, "
                               f"got {count!r}", ln)
         out.append(AuxiliaryRecord(
-            video_id=str(obj["video_id"]),
+            video_id=obj["video_id"],
             frame_time=_aux_number(obj["frame_time"], "frame_time", ln),
             person_box=box,
             person_count=count,

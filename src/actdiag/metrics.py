@@ -224,7 +224,9 @@ class LocalizationItems(SampleGrid):
     """A prediction set's scores on a sample grid, read a class at a time."""
     frame_scores: np.ndarray  # (F, C) every predicted frame's scores
     rows: np.ndarray          # (N,) the nearest predicted frame's row in it
-    frame_rows: np.ndarray    # (N,) that frame's row in its video's predictions
+    period: np.ndarray        # (V,) each video's frame_period, 0 for one frame
+    first: np.ndarray         # (V,) each video's first row in frame_scores
+    count: np.ndarray         # (V,) and its number of rows there
 
     def column(self, c):
         """(N,) the items' scores for class c."""
@@ -283,7 +285,8 @@ def build_localization_items(preds, grid, what="frame predictions"):
     rows = np.zeros(times.shape, dtype=int)   # a one-frame video's items read its frame
     frames = aligned_predictions(preds, grid.annotations, what)
     matrix, first = _score_matrix(frames, grid.labels.shape[1])
-    for fp, t, r in zip(frames, times, rows):
+    period = np.zeros(len(frames))
+    for v, (fp, t, r) in enumerate(zip(frames, times, rows)):
         ft = fp.frame_times
         if len(ft) == 0:
             raise ValueError(f"{fp.video_id}: no predicted frames")
@@ -291,14 +294,15 @@ def build_localization_items(preds, grid, what="frame predictions"):
             nearest = np.clip(np.searchsorted(ft, t), 1, len(ft) - 1)
             nearest = np.where(t - ft[nearest - 1] <= ft[nearest] - t,
                                nearest - 1, nearest)
-            far = np.abs(ft[nearest] - t) > frame_period(ft) + 1e-9
+            period[v] = frame_period(ft)
+            far = np.abs(ft[nearest] - t) > period[v] + 1e-9
             if far.any():
                 raise ValueError(f"{fp.video_id}: no predicted frame within one "
                                  f"frame period of t={t[far][0]:.3f}s")
             r[:] = nearest
     return LocalizationItems(grid.video_index, grid.times, grid.labels,
-                             grid.annotations, matrix,
-                             (rows + first.reshape(-1, 1)).ravel(), rows.ravel())
+                             grid.annotations, matrix, (rows + first[:, None]).ravel(),
+                             period, first, np.array([len(f.scores) for f in frames]))
 
 
 def localization_map(preds, annotations, vocab, samples_per_video=25):

@@ -546,8 +546,7 @@ def _smoothing(ctx):
         if m.frame is None:
             sweeps[name] = "skipped: no frame predictions"
             continue
-        sweep = temporal_mod.sweep_items(m.frame, m.items, ctx.labels,
-                                         SWEEP_FRACTIONS,
+        sweep = temporal_mod.sweep_items(m.items, ctx.labels, SWEEP_FRACTIONS,
                                          m.localization, m.classification)
         csvs[f"sweep_{name}.csv"] = _table(("fraction", "loc_map", "cls_map"),
                                            zip(sweep.fractions, sweep.loc_map,

@@ -5,25 +5,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import (aligned_predictions, frame_labels, frame_period,
-                      grid_times, per_class_eval)
+from .metrics import frame_labels, grid_times, per_class_eval
 
 
-def window_frames(times, window_fraction, duration):
-    """The odd frame count of a centered window of window_fraction * duration
-    seconds over a video's (F,) frame times: the seconds over
-    metrics.frame_period, rounded to the nearest odd count >= 1, an even
-    count going down. A count within a relative 1e-9 of a whole number is
-    that number, so rounding noise cannot settle a tie. Fraction 0, or a
-    video with one frame, gives 1."""
+def window_frames(period, window_fraction, duration):
+    """(V,) odd frame counts of centered windows of window_fraction *
+    duration seconds over videos of (V,) frame periods
+    (LocalizationItems.period) and (V,) durations: the seconds over the
+    period, rounded to the nearest odd count >= 1, an even count going
+    down. A count within a relative 1e-9 of a whole number is that number,
+    so rounding noise cannot settle a tie. Fraction 0, or a video with one
+    frame (period 0), gives 1."""
     if not 0 <= window_fraction <= 1:
         raise ValueError(f"window_fraction {window_fraction} outside [0, 1]")
-    if window_fraction == 0 or len(times) < 2:
-        return 1
-    frames = window_fraction * duration / frame_period(times)
-    if abs(frames - round(frames)) <= 1e-9 * frames:
-        frames = round(frames)
-    return 2 * int(np.ceil(frames / 2)) - 1
+    frames = window_fraction * duration / np.where(period > 0, period, np.inf)
+    frames = np.where(abs(frames - frames.round()) <= 1e-9 * frames, frames.round(), frames)
+    return np.maximum(2 * np.ceil(frames / 2).astype(int) - 1, 1)
 
 
 def smooth_predictions(scores, w):
@@ -47,33 +44,32 @@ class SmoothingSweepResult:
     best_fraction: float
 
 
-def sweep_items(preds, items, video_labels, fractions, base_loc, base_cls):
-    """Evaluate localization and classification mAP of the frame
-    predictions `preds` across smoothing window fractions (0 is always
+def sweep_items(items, video_labels, fractions, base_loc, base_cls):
+    """Evaluate localization and classification mAP of a frame method's
+    localization items across smoothing window fractions (0 is always
     included); the best fraction is the first with the highest
     localization mAP.
 
-    items are the localization items of `preds` and video_labels the (V, C)
-    labels of their annotations. base_loc and base_cls are the unsmoothed
-    localization and classification results, which every fraction whose
-    window is one frame in every video reports. Each distinct set of
-    per-video windows (window_frames) is evaluated once. Smoothing keeps
-    frame times, so a smoothed video's items are its smoothed frames at the
-    items' frame rows; one video is smoothed at a time."""
+    video_labels are the (V, C) labels of the items' annotations. base_loc
+    and base_cls are the unsmoothed localization and classification
+    results, which every fraction whose window is one frame in every video
+    reports. Each distinct set of per-video windows (window_frames) is
+    evaluated once. Smoothing keeps frame times, so a smoothed video's
+    items are its smoothed frames at the items' rows; one video's rows of
+    items.frame_scores are smoothed at a time."""
     fractions = sorted(set(float(f) for f in fractions) | {0.0})
-    annotations = items.annotations
-    frames = aligned_predictions(preds, annotations, "frame predictions")
-    rows = items.frame_rows.reshape(len(annotations), -1)
+    durations = np.array([a.duration for a in items.annotations])
+    rows = items.rows.reshape(len(durations), -1) - items.first[:, None]
     scores = np.empty(rows.shape + video_labels.shape[1:])   # (V, items per video, C)
     video_scores = np.empty(video_labels.shape)
-    maps = {(1,) * len(frames): (base_loc.mean_ap, base_cls.mean_ap)}
+    maps = {(1,) * len(durations): (base_loc.mean_ap, base_cls.mean_ap)}
     loc_maps, cls_maps = [], []
     for f in fractions:
-        windows = tuple(window_frames(fp.frame_times, f, ann.duration)
-                        for ann, fp in zip(annotations, frames))
+        windows = tuple(window_frames(items.period, f, durations).tolist())
         if windows not in maps:
-            for v, (fp, w) in enumerate(zip(frames, windows)):
-                smoothed = fp.scores if w == 1 else smooth_predictions(fp.scores, w)
+            for v, (s, n, w) in enumerate(zip(items.first, items.count, windows)):
+                frames = items.frame_scores[s:s + n]
+                smoothed = frames if w == 1 else smooth_predictions(frames, w)
                 scores[v] = smoothed[rows[v]]
                 video_scores[v] = smoothed.max(axis=0)
             maps[windows] = (

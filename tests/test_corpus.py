@@ -68,6 +68,20 @@ def test_annotations_header_after_a_blank_line_is_a_header():
         load_annotations(text + "V1,x,\n", v)
 
 
+def test_vocabulary_row_with_a_fifth_field_is_rejected():
+    # the parent loaded the description "hold" and dropped " cup"
+    with pytest.raises(CorpusError, match=r"line 5: expected class_id,verb_id,object_id"):
+        load_vocabulary(VOCAB + "c003,v00,o00,hold, cup\n")
+
+
+def test_annotations_row_with_a_fifth_field_is_rejected():
+    # the parent loaded dataset "ds" and dropped "extra"
+    v = load_vocabulary(VOCAB)
+    assert load_annotations("V0,10,c000 1 2,ds\n", v)[0].dataset == "ds"
+    with pytest.raises(CorpusError, match=r"line 2: expected video_id,duration"):
+        load_annotations("V0,10,\nV1,10,c000 1 2,ds,extra\n", v)
+
+
 @pytest.mark.parametrize("cid", ['"c,0"', '"c""0"', '"c 0"', '"c\t0"'])
 def test_vocabulary_rejects_an_id_no_table_can_carry(cid):
     with pytest.raises(CorpusError, match="line 3: class_id .* comma"):
@@ -271,6 +285,10 @@ def test_canonical_ordering_stable():
     '{"video_id": "a", "frame_time": 1, "pose": [[1, 2, 1], [3, NaN, 1]]}',
     '5',
     'null',
+    '{"video_id": null, "frame_time": 1}',
+    '{"video_id": true, "frame_time": 1}',
+    '{"video_id": ["a"], "frame_time": 1}',
+    '{"video_id": 7, "frame_time": 1}',
 ])
 def test_auxiliary_rejects_non_numeric_or_non_finite_values(record):
     text = '{"video_id": "a", "frame_time": 0}\n' + record + "\n"

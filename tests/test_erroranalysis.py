@@ -145,7 +145,8 @@ def _random_items(seed, n=80):
     labels = rng.random(scores.shape) < rng.uniform(0.05, 0.4, len(VOCAB))
     labels[:, 2] &= seed % 3 != 0                    # sometimes no positive
     items = LocalizationItems(np.zeros(n, dtype=int), np.zeros(n), labels, [],
-                              scores, np.arange(n), np.zeros(n, dtype=int))
+                              scores, np.arange(n), np.zeros(0), np.zeros(0, dtype=int),
+                              np.zeros(0, dtype=int))
     return items, rng.random(scores.shape) < 0.85
 
 

@@ -11,6 +11,7 @@ from actdiag.metrics import (NormalizationConstants, LocalizationItems,
                              localization_map, normalized_ap, per_class_eval,
                              sample_times)
 from actdiag.report import BOOTSTRAP_BLOCK, _resample_maps
+from actdiag.temporal import window_frames
 
 VOCAB = """class_id,verb_id,object_id,description
 c000,v00,o00,hold cup
@@ -275,7 +276,8 @@ def test_localization_items_index_the_loaded_matrix_without_copying_it():
     for built in (items, metrics.build_localization_items(copies, grid)):
         gathered = np.stack([built.column(c) for c in range(len(vocab))], axis=1)
         want = np.concatenate([p.scores[r] for p, r in
-                               zip(preds, built.frame_rows.reshape(len(anns), -1))])
+                               zip(preds, built.rows.reshape(len(anns), -1)
+                                   - built.first[:, None])])
         assert gathered.tobytes() == want.tobytes()
 
 
@@ -289,6 +291,33 @@ def test_frame_period_is_the_median_spacing_bit_for_bit(n):
             period = metrics.frame_period(t)
             assert type(period) is float
             assert period == float(np.median(np.diff(t)))
+
+
+def _window_reference(times, fraction, duration):
+    """The window rule one video at a time, with np.median for the period."""
+    if fraction == 0 or len(times) < 2:
+        return 1
+    frames = fraction * duration / float(np.median(np.diff(times)))
+    if abs(frames - round(frames)) <= 1e-9 * frames:
+        frames = round(frames)
+    return 2 * int(np.ceil(frames / 2)) - 1
+
+
+def test_window_rule_over_item_periods_is_the_scalar_rule():
+    vocab, anns, preds = _scale_frame_corpus()
+    anns += load_annotations("T,10,\nO,10,\n", vocab)   # a 1 s period and one frame
+    preds += [FramePredictions("T", np.arange(10.0), np.zeros((10, len(vocab)))),
+              FramePredictions("O", np.array([5.0]), np.zeros((1, len(vocab))))]
+    items = metrics.build_localization_items(preds, metrics.sample_grid(anns, vocab))
+    assert items.period[-1] == 0
+    durations = np.array([a.duration for a in anns])
+    for f in (0.0, 0.01, 0.04, 0.08, 0.16, 0.2, 0.2 * (1 + 1e-6), 0.5, 1.0):
+        assert window_frames(items.period, f, durations).tolist() == [
+            _window_reference(p.frame_times, f, a.duration) for a, p in zip(anns, preds)]
+    assert window_frames(items.period[-2:], 0.2, durations[-2:]).tolist() == [1, 1]
+    assert window_frames(items.period[-2:], 0.2 * (1 + 1e-6), durations[-2:]).tolist() == [3, 1]
+    with pytest.raises(ValueError, match="outside"):
+        window_frames(items.period, 1.5, durations)
 
 
 def test_localization_of_a_video_without_frames_names_it():
@@ -470,7 +499,7 @@ def test_evaluation_bits_match_the_rank_order_path(monkeypatch):
         keep[labels[:, 2], 2] = True                 # keep the single positive
         items = LocalizationItems(np.zeros(len(scores), dtype=int), np.zeros(len(scores)),
                                   labels, [], scores, np.arange(len(scores)),
-                                  np.zeros(len(scores), dtype=int))
+                                  np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
         weights = np.stack([np.bincount(rng.integers(0, len(scores), len(scores)),
                                         minlength=len(scores)) for _ in range(40)]
                            + [rng.random(len(scores)) < 0.5 for _ in range(40)]

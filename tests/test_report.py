@@ -15,7 +15,7 @@ from actdiag.attributes import video_attributes
 from actdiag.corpus import (ActivityInstance, AuxiliaryRecord, VideoAnnotation,
                             VideoPredictions, load_annotations, load_auxiliary,
                             load_predictions, load_vocabulary)
-from actdiag.metrics import (aligned_predictions, classification_map,
+from actdiag.metrics import (aligned_predictions, classification_map, frame_period,
                              labels_matrix, per_class_eval, sample_grid)
 from actdiag import oracles
 from actdiag.report import (BUNDLE_NAME, RunConfig, bootstrap_map_ci, main,
@@ -529,6 +529,20 @@ def test_report_builds_each_label_matrix_and_the_posed_frames_once(tmp_path,
         train_ids, test_ids]
     assert [[a.video_id for a in anns] for anns in calls["posed_frames"]] == [train_ids]
     assert len(calls["sample_times"]) == len(test_ids) + len(train_ids)
+
+
+def test_report_takes_each_test_videos_frame_period_once(tmp_path, monkeypatch):
+    # the parent took it for the localization items and again for each of
+    # the five smoothed fractions of the sweep: six times a video
+    paths = _write_corpus(tmp_path)
+    calls = []
+    for mod in [m for name, m in sys.modules.items() if name.startswith("actdiag.")]:
+        if getattr(mod, "frame_period", None) is frame_period:
+            monkeypatch.setattr(mod, "frame_period",
+                                lambda times: calls.append(times) or frame_period(times))
+    report = run_report(_config(tmp_path, paths, out="period"))
+    assert report["smoothing_sweep"]["cnn"]["fractions"] == list(report_mod.SWEEP_FRACTIONS)
+    assert len(calls) == 6                              # the six test videos of cnn
 
 
 def test_cli_report_rejects_zero_bootstrap_before_reading(tmp_path):

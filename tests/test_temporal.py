@@ -30,14 +30,16 @@ def _preds(n=20, duration=10.0, seed=0):
 
 def test_smooth_zero_fraction_is_identity():
     p = _preds()
-    out = smooth_predictions(p.scores, window_frames(p.frame_times, 0.0, 10.0))
+    out = smooth_predictions(p.scores, window_frames(np.array([frame_period(p.frame_times)]),
+                                                      0.0, np.array([10.0]))[0])
     assert np.array_equal(out, p.scores)
     assert out is not p.scores
 
 
 def test_smooth_window_one_frame_is_identity():
     p = _preds()
-    out = smooth_predictions(p.scores, window_frames(p.frame_times, 0.01, 10.0))   # 0.1 s < one 0.5 s frame
+    out = smooth_predictions(p.scores, window_frames(np.array([frame_period(p.frame_times)]),
+                                                      0.01, np.array([10.0]))[0])   # 0.1 s < one 0.5 s frame
     assert np.array_equal(out, p.scores)
 
 
@@ -45,7 +47,8 @@ def test_smooth_hand_window_three():
     times = np.arange(10, dtype=float)
     scores = np.zeros((10, 1))
     scores[5, 0] = 1.0
-    out = smooth_predictions(scores, window_frames(times, 0.3, 10.0))    # 3 s / 1 s period -> 3 frames
+    out = smooth_predictions(scores, window_frames(np.array([frame_period(times)]), 0.3,
+                                                    np.array([10.0]))[0])    # 3 s / 1 s period -> 3 frames
     want = np.zeros(10)
     want[4:7] = 1 / 3
     assert np.allclose(out[:, 0], want)
@@ -55,7 +58,8 @@ def test_smooth_truncates_at_the_ends():
     times = np.arange(10, dtype=float)
     scores = np.zeros((10, 1))
     scores[0, 0] = 1.0
-    out = smooth_predictions(scores, window_frames(times, 0.3, 10.0))
+    out = smooth_predictions(scores, window_frames(np.array([frame_period(times)]), 0.3,
+                                                    np.array([10.0]))[0])
     # first frame averages only itself and its right neighbor
     assert out[0, 0] == pytest.approx(1 / 2)
     assert out[1, 0] == pytest.approx(1 / 3)
@@ -64,14 +68,15 @@ def test_smooth_truncates_at_the_ends():
 
 def test_smooth_preserves_constant_signal():
     out = smooth_predictions(np.full((20, 2), 0.7),
-                             window_frames(np.arange(20, dtype=float), 0.5, 20.0))
+                             window_frames(np.array([frame_period(np.arange(20.0))]), 0.5,
+                                           np.array([20.0]))[0])
     assert np.allclose(out, 0.7)
 
 
 def test_smooth_rejects_bad_fraction():
     p = _preds()
     with pytest.raises(ValueError):
-        window_frames(p.frame_times, 1.5, 10.0)
+        window_frames(np.array([frame_period(p.frame_times)]), 1.5, np.array([10.0]))
 
 
 def test_smoothing_sweep_includes_zero_and_picks_best():
@@ -84,7 +89,7 @@ def test_smoothing_sweep_includes_zero_and_picks_best():
     preds = [FramePredictions("V1", times, noisy)]
     items = build_localization_items(preds, sample_grid(anns, VOCAB))
     labels = labels_matrix(anns, VOCAB)
-    res = sweep_items(preds, items, labels, (0.04, 0.16),
+    res = sweep_items(items, labels, (0.04, 0.16),
                       per_class_eval(items.column, items.labels),
                       per_class_eval(noisy.max(axis=0)[None], labels))
     assert res.fractions[0] == 0.0
@@ -104,7 +109,7 @@ def test_smoothing_helps_noisy_long_instances():
     preds = [FramePredictions("V1", times, scores)]
     items = build_localization_items(preds, sample_grid(anns, VOCAB))
     labels = labels_matrix(anns, VOCAB)
-    res = sweep_items(preds, items, labels, (0.08, 0.16, 0.32),
+    res = sweep_items(items, labels, (0.08, 0.16, 0.32),
                       per_class_eval(items.column, items.labels),
                       per_class_eval(scores.max(axis=0)[None], labels))
     assert res.best_fraction > 0
@@ -151,7 +156,7 @@ def _corpus25(seed, n_videos=30):
 
 def _smoothed_loop(anns, preds, items, labels, fractions):
     """Smooth every video at every fraction and evaluate each fraction."""
-    rows = items.frame_rows.reshape(len(anns), -1)
+    rows = items.rows.reshape(len(anns), -1) - items.first[:, None]
     loc, cls = [], []
     for f in fractions:
         smoothed = []
@@ -182,10 +187,10 @@ def test_sweep_equals_smoothing_every_video_at_every_fraction(seed):
     anns, preds = _irregular_corpus(seed)
     items, labels, base_loc, base_cls = _sweep_inputs(anns, preds)
     fractions = (0.0, 0.01, 0.03, 0.05, 0.1, 0.2, 0.45, 1.0)
-    windows = [{window_frames(p.frame_times, f, a.duration) for a, p in zip(anns, preds)}
-               for f in fractions]
+    durations = np.array([a.duration for a in anns])
+    windows = [set(window_frames(items.period, f, durations)) for f in fractions]
     assert any(1 in ws and len(ws) > 2 for ws in windows)
-    res = sweep_items(preds, items, labels, fractions, base_loc, base_cls)
+    res = sweep_items(items, labels, fractions, base_loc, base_cls)
     loc, cls = _smoothed_loop(anns, preds, items, labels, fractions)
     assert res.fractions == list(fractions)
     assert res.loc_map == loc
@@ -209,9 +214,10 @@ def test_sweep_smooths_and_evaluates_each_distinct_set_of_windows_once(monkeypat
         return per_class_eval(scores, labels)
     monkeypatch.setattr(temporal, "smooth_predictions", smooth)
     monkeypatch.setattr(temporal, "per_class_eval", evaluate)
-    sweep_items(preds, items, labels, fractions, base_loc, base_cls)
-    distinct = {tuple(window_frames(p.frame_times, f, a.duration) for a, p in zip(anns, preds))
-                for f in fractions} - {(1,) * len(anns)}
+    sweep_items(items, labels, fractions, base_loc, base_cls)
+    durations = np.array([a.duration for a in anns])
+    distinct = {tuple(window_frames(items.period, f, durations)) for f in fractions} - {
+        (1,) * len(anns)}
     assert sorted(smoothed) == sorted(w for ws in distinct for w in ws if w > 1)
     assert len(evals) == 2 * len(distinct)
 
@@ -222,7 +228,7 @@ def test_25_frame_sweep_smooths_one_set_of_windows(monkeypatch):
     calls = []
     monkeypatch.setattr(temporal, "per_class_eval",
                         lambda *a: calls.append(1) or per_class_eval(*a))
-    res = sweep_items(preds, items, labels, SWEEP_FRACTIONS, base_loc, base_cls)
+    res = sweep_items(items, labels, SWEEP_FRACTIONS, base_loc, base_cls)
     assert len(calls) == 2                                # fraction 0.16 alone smooths
     assert res.loc_map[:5] == [base_loc.mean_ap] * 5
     assert res.cls_map[:5] == [base_cls.mean_ap] * 5
@@ -234,14 +240,15 @@ def test_window_rule_settles_rounding_noise_as_a_whole_count():
               for f in (0.08, 0.16)]
     for c, whole in zip(counts, (2, 4)):
         assert min(c) < whole < max(c)                  # the noise falls on both sides
-    assert {window_frames(p.frame_times, 0.08, a.duration) for a, p in zip(anns, preds)} == {1}
-    assert {window_frames(p.frame_times, 0.16, a.duration) for a, p in zip(anns, preds)} == {3}
     items, labels, base_loc, base_cls = _sweep_inputs(anns, preds)
-    res = sweep_items(preds, items, labels, (0.08,), base_loc, base_cls)
+    durations = np.array([a.duration for a in anns])
+    assert set(window_frames(items.period, 0.08, durations)) == {1}
+    assert set(window_frames(items.period, 0.16, durations)) == {3}
+    res = sweep_items(items, labels, (0.08,), base_loc, base_cls)
     assert res.loc_map == [base_loc.mean_ap] * 2
     assert res.cls_map == [base_cls.mean_ap] * 2
-    assert window_frames(np.arange(10.0), 0.2, 10.0) == 1    # an exact tie goes down
-    assert window_frames(np.arange(10.0), 0.2 * (1 + 1e-6), 10.0) == 3
+    assert window_frames(np.array([1.0]), 0.2, np.array([10.0])) == [1]    # an exact tie goes down
+    assert window_frames(np.array([1.0]), 0.2 * (1 + 1e-6), np.array([10.0])) == [3]
 
 
 def test_context_benefit_hand():
